@@ -273,38 +273,6 @@ func BenchmarkReplayParallelScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkReplayStorage replays the fixture serially on both line
-// stores: the plane-native arena (the default for plane-capable
-// schemes) and the reference scalar map forced by
-// sim.Options.ScalarStorage. Results are bit-identical; only
-// wall-clock changes. benchguard gates the scalar/planes wall-clock
-// ratio — a same-box number that is meaningful on any machine, unlike
-// absolute times — so a regression that erodes the arena path's
-// advantage fails CI even though the PR-8 tree is long gone.
-func BenchmarkReplayStorage(b *testing.B) {
-	schemes, src := engineFixture(b)
-	for _, scalar := range []bool{false, true} {
-		name := "storage=planes"
-		if scalar {
-			name = "storage=scalar"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				src.Rewind()
-				opts := sim.DefaultOptions()
-				opts.Workers = 1
-				opts.ScalarStorage = scalar
-				e := sim.NewEngine(opts, schemes...)
-				if err := e.Run(src, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-			writes := float64(len(src.Reqs) * len(schemes) * b.N)
-			b.ReportMetric(writes/b.Elapsed().Seconds(), "writes/s")
-		})
-	}
-}
-
 // BenchmarkReplaySpeedup interleaves serial and parallel replays of the
 // same trace and reports their wall-clock ratio ("speedup-x") plus the
 // worker count used, the headline number for the parallel engine.

@@ -53,22 +53,10 @@
 //
 //	go test -run xxx -bench 'BenchmarkEngineRun' -benchtime 2x -count 3 ./internal/sim/ | benchguard -faultfree
 //
-// With -arena it guards the PR 9 plane-native line store: the serial
-// replay on the reference scalar store (sim.Options.ScalarStorage)
-// over the same replay on the plane arena — BenchmarkReplayStorage/
-// storage=scalar over storage=planes — must stay at or above the
-// committed replay_arena_pr9 gate_ratio. The scalar path is the PR 8
-// storage preserved in-tree as the equivalence reference, so the ratio
-// re-measures the PR's speedup on every box: it collapses toward 1.0
-// only when the arena path loses its edge (a pack/unpack or map lookup
-// creeping back into the hot loop).
-//
-//	go test -run xxx -bench BenchmarkReplayStorage -benchtime 2x -count 3 . | benchguard -arena
-//
 // With -from-store <dir> the measured numbers come from a pcmserver
 // result store instead of bench output: the latest point of the named
 // series (-series, defaulting to the guard mode's name — encode,
-// replay, ingest, faultfree or arena) supplies the key→value map the
+// replay, ingest or faultfree) supplies the key→value map the
 // mode would otherwise parse from `go test -bench` text. A CI box that
 // pushes its bench runs to the server over POST /v1/series can then
 // gate any recorded run, or re-gate yesterday's, without keeping the
@@ -110,9 +98,6 @@ type baseline struct {
 	// FaultFree is the PR 8 fault-model overhead series, measured by
 	// BenchmarkEngineRun + BenchmarkEngineRunFaults in internal/sim.
 	FaultFree *faultFreeBaseline `json:"fault_free_pr8"`
-	// Arena is the PR 9 plane-native line-store series, measured by
-	// BenchmarkReplayStorage at the repo root.
-	Arena *arenaBaseline `json:"replay_arena_pr9"`
 }
 
 type replayBaseline struct {
@@ -158,21 +143,6 @@ type faultFreeBaseline struct {
 	GateRatio float64            `json:"gate_ratio"`
 }
 
-// arenaBaseline records the plane-native line-store series: "planes"
-// is BenchmarkReplayStorage on the arena (the default store for
-// plane-capable schemes), "scalar" is the same serial replay forced
-// onto the reference scalar map. Both run in one process on one box,
-// so scalar/planes is machine-speed independent: it is the PR's
-// speedup, re-measured live. The gate requires the measured ratio to
-// stay at or above GateRatio — below it, the arena path has lost its
-// edge over the storage it replaced. The committed Ratio sits well
-// above the gate; the margin between them is the noise headroom.
-type arenaBaseline struct {
-	NSPerRun  map[string]float64 `json:"ns_per_run_by_storage"`
-	Ratio     float64            `json:"scalar_over_planes"`
-	GateRatio float64            `json:"gate_ratio"`
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchguard: ")
@@ -184,9 +154,8 @@ func main() {
 		replayTol = flag.Float64("replay-tolerance", 0.30, "allowed relative ratio regression in -replay mode (generous: wall-clock ratios are noisy)")
 		ingest    = flag.Bool("ingest", false, "guard the trace-decode front-end (mapped/reader decode-cost ratio from BenchmarkIngest) instead of the encode series")
 		faultFree = flag.Bool("faultfree", false, "guard the fault model's zero-cost-when-disabled claim (BenchmarkEngineRunFaults/off over BenchmarkEngineRun) instead of the encode series")
-		arena     = flag.Bool("arena", false, "guard the plane-native line store's speedup (BenchmarkReplayStorage scalar/planes ratio) instead of the encode series")
 		fromStore = flag.String("from-store", "", "pcmserver result-store directory: gate the latest point of a recorded series instead of parsing bench output")
-		series    = flag.String("series", "", "series name to read with -from-store (default: the guard mode's name — encode, replay, ingest, faultfree or arena)")
+		series    = flag.String("series", "", "series name to read with -from-store (default: the guard mode's name — encode, replay, ingest or faultfree)")
 	)
 	flag.Parse()
 
@@ -208,10 +177,6 @@ func main() {
 	}
 	if *faultFree {
 		guardFaultFree(base, measured(*fromStore, *series, "faultfree", parseFaultFreeBench))
-		return
-	}
-	if *arena {
-		guardArena(base, measured(*fromStore, *series, "arena", parseArenaBench))
 		return
 	}
 	if len(base.EncodePR3) == 0 {
@@ -450,40 +415,6 @@ func guardFaultFree(base baseline, m map[string]float64) {
 			"(the fault model must cost nothing when disabled)", ratio, base.FaultFree.GateRatio)
 	}
 	fmt.Println("benchguard: fault-disabled replay within baseline")
-}
-
-// guardArena enforces the plane-native line-store baseline: serial
-// replay forced onto the reference scalar store must stay at or above
-// gate_ratio times the plane-arena replay of the same fixture. The
-// two runs share a process and a box, so the ratio never moves with
-// machine speed — only with the arena path's actual edge over the
-// per-write pack/unpack and map-lookup storage it replaced.
-func guardArena(base baseline, m map[string]float64) {
-	if base.Arena == nil || base.Arena.GateRatio == 0 {
-		log.Fatal("baseline has no replay_arena_pr9 series")
-	}
-	planes, scalar := m["storage=planes"], m["storage=scalar"]
-	if planes == 0 || scalar == 0 {
-		log.Fatal("input is missing BenchmarkReplayStorage/storage=planes or /storage=scalar results")
-	}
-	ratio := scalar / planes
-	fmt.Printf("arena: planes %.1fms, scalar %.1fms, scalar/planes %.3f "+
-		"(replay_arena_pr9 baseline %.3f, gate %.3f)\n",
-		planes/1e6, scalar/1e6, ratio, base.Arena.Ratio, base.Arena.GateRatio)
-	if ratio < base.Arena.GateRatio {
-		log.Fatalf("plane-native store lost its edge: scalar/planes %.3f fell below gate %.3f "+
-			"(the arena path must stay >=%.2fx faster than the scalar reference)",
-			ratio, base.Arena.GateRatio, base.Arena.GateRatio)
-	}
-	fmt.Println("benchguard: plane-native line store within baseline")
-}
-
-// parseArenaBench extracts the mean ns/op of the BenchmarkReplayStorage
-// sub-benchmarks, keyed by storage mode (storage=planes, storage=scalar).
-func parseArenaBench(r io.Reader) (map[string]float64, error) {
-	return parseBenchLines(r, func(name string) (string, bool) {
-		return strings.CutPrefix(name, "BenchmarkReplayStorage/")
-	})
 }
 
 // parseFaultFreeBench extracts the mean ns/op of the fault-overhead

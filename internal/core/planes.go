@@ -4,18 +4,20 @@ import (
 	"wlcrc/internal/coset"
 	"wlcrc/internal/memline"
 	"wlcrc/internal/pcm"
+	"wlcrc/internal/vcc"
 )
 
 // Plane-native codec entry points.
 //
-// The replay engine stores lines in the bit-plane layout of
+// The replay frontends store lines in the bit-plane layout of
 // coset.PlaneWords: (lo, hi) uint64 pairs per 32 cells, tail bits zero.
-// Schemes implementing PlaneScheme encode and decode that layout
-// directly — reading old states and writing new states as planes — so
-// the per-write PackStates/UnpackStates round trips of the scalar API
+// Schemes implementing PlaneScheme (or, when keyed by address and write
+// counter, CounterPlaneScheme) encode and decode that layout directly —
+// reading old states and writing new states as planes — so the
+// per-write PackStates/UnpackStates round trips of the scalar API
 // disappear from the hot path. The scalar EncodeInto/DecodeInto
-// implementations remain untouched as the reference the equivalence and
-// fuzz tests hold the plane paths to.
+// implementations remain the reference the equivalence and fuzz tests
+// hold the plane paths to.
 
 // PlaneScheme is the plane-resident codec API. dst and old have
 // coset.PlaneWords(TotalCells()) words and must not alias; every word of
@@ -27,15 +29,25 @@ type PlaneScheme interface {
 	DecodePlanesInto(planes []uint64, dst *memline.Line)
 }
 
+// CounterPlaneScheme is PlaneScheme keyed by (addr, ctr), the plane
+// form of CounterScheme (VCC-n). Its output must equal coset.PackLine of
+// the scheme's EncodeCtrInto against the same old line. It is also the
+// codec shape NewLineCodec resolves for every scheme.
+type CounterPlaneScheme interface {
+	EncodeCtrPlanesInto(dst, old []uint64, addr, ctr uint64, data *memline.Line)
+	DecodeCtrPlanesInto(planes []uint64, addr, ctr uint64, dst *memline.Line)
+}
+
 // PlaneCompressionGate is CompressionGate for plane-resident lines.
 type PlaneCompressionGate interface {
 	CompressedWritePlanes(planes []uint64) bool
 }
 
-// PlaneCodec resolves s's plane-native entry points, reporting whether
-// the scheme encodes plane-resident lines without materializing cell
-// vectors. Counter schemes always answer false — their keyed paths need
-// (addr, ctr) and run through the frontends' scalar adapter.
+// PlaneCodec resolves s's keyless plane-native entry points, reporting
+// whether the scheme encodes plane-resident lines without (addr, ctr).
+// Counter schemes always answer false, even those with a plane codec:
+// their keyed paths need the counter, which NewLineCodec threads
+// through.
 func PlaneCodec(s Scheme) (PlaneScheme, bool) {
 	if _, ok := s.(CounterScheme); ok {
 		return nil, false
@@ -47,7 +59,7 @@ func PlaneCodec(s Scheme) (PlaneScheme, bool) {
 // CompressedWritePlanesFunc resolves the plane-resident write
 // classifier: plane-gated schemes answer through their flag cell,
 // everything else counts every write as encoded. Only meaningful for
-// schemes on the plane-native path (PlaneCodec ok).
+// schemes with a native plane codec.
 func CompressedWritePlanesFunc(s Scheme) func([]uint64) bool {
 	if g, ok := s.(PlaneCompressionGate); ok {
 		return g.CompressedWritePlanes
@@ -55,19 +67,68 @@ func CompressedWritePlanesFunc(s Scheme) func([]uint64) bool {
 	return func([]uint64) bool { return true }
 }
 
-// PlaneEncodeJob is one line write of a plane-resident batch encode run.
-type PlaneEncodeJob struct {
-	Dst, Old []uint64
-	Data     *memline.Line
+// NewLineCodec resolves the one codec every replay frontend drives: a
+// plane-resident encode and decode keyed by (addr, ctr), plus the
+// matching write classifier. Keyless schemes ignore the key; counter
+// schemes get their native plane codec; a scheme with no plane codec —
+// a caller's scalar-only wlcrc.Scheme — gets an adapter that unpacks,
+// runs EncodeCtrFunc/DecodeCtrFunc and packs back. The codec may own
+// scratch (the adapter's cells, Enc's ciphertext staging line), so it
+// is not safe for concurrent use: resolve one per frontend.
+func NewLineCodec(s Scheme) (CounterPlaneScheme, func([]uint64) bool) {
+	if e, ok := s.(*vcc.Encrypted); ok {
+		if c, ok := e.PlaneCodec(); ok {
+			return c, CompressedWritePlanesFunc(s)
+		}
+	} else if c, ok := s.(CounterPlaneScheme); ok {
+		return c, CompressedWritePlanesFunc(s)
+	} else if ps, ok := PlaneCodec(s); ok {
+		return keylessPlanes{ps}, CompressedWritePlanesFunc(s)
+	}
+	n := s.TotalCells()
+	a := &scalarPlanes{
+		enc:   EncodeCtrFunc(s),
+		dec:   DecodeCtrFunc(s),
+		gate:  CompressedWriteFunc(s),
+		old:   make([]pcm.State, n),
+		cells: make([]pcm.State, n),
+	}
+	return a, a.compressed
 }
 
-// EncodePlaneBatch encodes a run of plane-resident writes, hoisting the
-// interface dispatch out of the per-job loop — the plane counterpart of
-// EncodeBatchFunc for the shard's applyRun path.
-func EncodePlaneBatch(ps PlaneScheme, jobs []PlaneEncodeJob) {
-	for i := range jobs {
-		ps.EncodePlanesInto(jobs[i].Dst, jobs[i].Old, jobs[i].Data)
-	}
+// keylessPlanes adapts a PlaneScheme to the keyed codec shape.
+type keylessPlanes struct{ PlaneScheme }
+
+func (k keylessPlanes) EncodeCtrPlanesInto(dst, old []uint64, _, _ uint64, data *memline.Line) {
+	k.EncodePlanesInto(dst, old, data)
+}
+
+func (k keylessPlanes) DecodeCtrPlanesInto(planes []uint64, _, _ uint64, dst *memline.Line) {
+	k.DecodePlanesInto(planes, dst)
+}
+
+// scalarPlanes is the pack/unpack adapter over a scheme's scalar codec.
+type scalarPlanes struct {
+	enc        func(dst, old []pcm.State, addr, ctr uint64, data *memline.Line)
+	dec        func(cells []pcm.State, addr, ctr uint64, dst *memline.Line)
+	gate       func([]pcm.State) bool
+	old, cells []pcm.State
+}
+
+func (a *scalarPlanes) EncodeCtrPlanesInto(dst, old []uint64, addr, ctr uint64, data *memline.Line) {
+	coset.UnpackLine(old, a.old)
+	a.enc(a.cells, a.old, addr, ctr, data)
+	coset.PackLine(a.cells, dst)
+}
+
+func (a *scalarPlanes) DecodeCtrPlanesInto(planes []uint64, addr, ctr uint64, dst *memline.Line) {
+	coset.UnpackLine(planes, a.cells)
+	a.dec(a.cells, addr, ctr, dst)
+}
+
+func (a *scalarPlanes) compressed(planes []uint64) bool {
+	coset.UnpackLine(planes, a.cells)
+	return a.gate(a.cells)
 }
 
 // rawEncodePlanes is rawEncode straight into plane storage: the fixed C1

@@ -51,34 +51,37 @@ func packedPlanes(cells []pcm.State) []uint64 {
 	return p
 }
 
-// checkPlaneEquivalence runs one (old, data) pair through both codec
-// paths of one scheme and cross-checks everything the replay engine
-// relies on: the encoded planes must be bit-identical to the packed
-// scalar encode, the old planes must survive unmutated, the tail-zero
-// invariant must hold, the plane decode must round-trip to the written
-// data, and the plane compression gate must agree with the scalar gate.
-func checkPlaneEquivalence(t testing.TB, s Scheme, ps PlaneScheme, r *prng.Xoshiro256,
-	old []pcm.State, data *memline.Line) {
+// checkPlaneEquivalence runs one (old, data) write under key (addr,
+// ctr) through both codec paths of one scheme — the scalar
+// counter-aware encode and the plane codec NewLineCodec resolves — and
+// cross-checks everything the replay engine relies on: the encoded
+// planes must be bit-identical to the packed scalar encode, the old
+// planes must survive unmutated, the tail-zero invariant must hold, the
+// plane decode must round-trip to the written data under the same key,
+// and the plane compression gate must agree with the scalar gate.
+func checkPlaneEquivalence(t testing.TB, s Scheme, r *prng.Xoshiro256,
+	old []pcm.State, data *memline.Line, addr, ctr uint64) {
 	n := s.TotalCells()
 	want := make([]pcm.State, n)
-	s.EncodeInto(want, old, data)
+	EncodeCtrFunc(s)(want, old, addr, ctr, data)
 	wantP := packedPlanes(want)
 
+	codec, gate := NewLineCodec(s)
 	oldP := packedPlanes(old)
 	oldSnap := append([]uint64(nil), oldP...)
-	// Garbage-prefill dst: EncodePlanesInto must overwrite every word,
+	// Garbage-prefill dst: the plane encode must overwrite every word,
 	// including the zero tail bits above cell n.
 	dst := make([]uint64, len(oldP))
 	for i := range dst {
 		dst[i] = r.Uint64()
 	}
-	ps.EncodePlanesInto(dst, oldP, data)
+	codec.EncodeCtrPlanesInto(dst, oldP, addr, ctr, data)
 	if !reflect.DeepEqual(wantP, dst) {
-		t.Fatalf("%s: EncodePlanesInto differs from packed EncodeInto\nold  %v\nwant %x\ngot  %x",
-			s.Name(), old[:8], wantP, dst)
+		t.Fatalf("%s key (%#x, %d): plane encode differs from packed scalar encode\nold  %v\nwant %x\ngot  %x",
+			s.Name(), addr, ctr, old[:8], wantP, dst)
 	}
 	if !reflect.DeepEqual(oldSnap, oldP) {
-		t.Fatalf("%s: EncodePlanesInto mutated old planes", s.Name())
+		t.Fatalf("%s: plane encode mutated old planes", s.Name())
 	}
 	for c := n; c < 32*len(dst)/2; c++ {
 		if coset.PlaneGet(dst, c) != 0 {
@@ -87,34 +90,54 @@ func checkPlaneEquivalence(t testing.TB, s Scheme, ps PlaneScheme, r *prng.Xoshi
 	}
 
 	var got memline.Line
-	r.Fill(got[:]) // DecodePlanesInto must fully overwrite garbage
-	ps.DecodePlanesInto(dst, &got)
+	r.Fill(got[:]) // the plane decode must fully overwrite garbage
+	codec.DecodeCtrPlanesInto(dst, addr, ctr, &got)
 	if !got.Equal(data) {
-		t.Fatalf("%s: DecodePlanesInto round trip failed", s.Name())
+		t.Fatalf("%s key (%#x, %d): plane decode round trip failed", s.Name(), addr, ctr)
 	}
-
-	if gate, ok := s.(CompressionGate); ok {
-		pg, ok := s.(PlaneCompressionGate)
-		if !ok {
-			t.Fatalf("%s: CompressionGate without PlaneCompressionGate", s.Name())
-		}
-		if sc, pl := gate.CompressedWrite(want), pg.CompressedWritePlanes(dst); sc != pl {
-			t.Fatalf("%s: CompressedWritePlanes = %v, scalar CompressedWrite = %v", s.Name(), pl, sc)
-		}
+	if sc, pl := CompressedWriteFunc(s)(want), gate(dst); sc != pl {
+		t.Fatalf("%s: plane gate = %v, scalar gate = %v", s.Name(), pl, sc)
 	}
 }
 
-// TestEncodePlanesMatchesScalar is the plane-native storage PR's core
+// counterPlaneNames are the counter-keyed schemes whose plane codecs
+// NewLineCodec resolves natively: the VCC family and the Enc wrapper
+// over inner schemes with and without a compression gate.
+var counterPlaneNames = []string{"VCC-2", "VCC-4", "VCC-8", "Enc(Baseline)", "Enc(FlipMin)", "Enc(WLCRC-16)"}
+
+// ctrKeys are the (addr, ctr) pairs the equivalence runs over: the
+// degenerate key, a first write, and large and wrapped values.
+var ctrKeys = [][2]uint64{{0, 0}, {7, 1}, {0x1234, 99}, {^uint64(0), 1 << 40}}
+
+// TestEncodePlanesMatchesScalar is the plane-native storage's core
 // equivalence property, over the randomized corpus the scalar
-// EncodeInto tests use: compressible and incompressible data against
-// fresh and steady-state old vectors.
+// EncodeInto tests use — compressible and incompressible data against
+// fresh and steady-state old vectors — for every plane scheme and for
+// the counter-keyed schemes under several (addr, ctr) keys.
 func TestEncodePlanesMatchesScalar(t *testing.T) {
 	r := prng.New(20260807)
 	for _, s := range planeSchemes(t) {
 		for trial := 0; trial < 60; trial++ {
 			data := randomBiasedLine(r)
 			old := randomOld(r, s.TotalCells())
-			checkPlaneEquivalence(t, s.Scheme, s.planes, r, old, &data)
+			checkPlaneEquivalence(t, s.Scheme, r, old, &data, 0, 0)
+		}
+	}
+	for _, name := range counterPlaneNames {
+		s, err := NewScheme(name, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		codec, _ := NewLineCodec(s)
+		if _, adapter := codec.(*scalarPlanes); adapter {
+			t.Fatalf("%s: resolved the scalar adapter, want a native plane codec", name)
+		}
+		for _, key := range ctrKeys {
+			for trial := 0; trial < 20; trial++ {
+				data := randomBiasedLine(r)
+				old := randomOld(r, s.TotalCells())
+				checkPlaneEquivalence(t, s, r, old, &data, key[0], key[1])
+			}
 		}
 	}
 }
@@ -185,7 +208,7 @@ func FuzzEncodePlanesEquiv(f *testing.F) {
 		case 2:
 			s.EncodeInto(old, InitialCells(n), &data)
 		}
-		checkPlaneEquivalence(t, s.Scheme, s.planes, r, old, &data)
+		checkPlaneEquivalence(t, s.Scheme, r, old, &data, 0, 0)
 	})
 }
 

@@ -83,7 +83,10 @@ type CompressionGate interface {
 // CounterSchemes still implement the plain EncodeInto/DecodeInto, which
 // must be the degenerate (addr=0, ctr=0) form of the counter-aware
 // pair, so every generic Scheme property (round trip, idempotence of
-// decode, full dst overwrite) keeps holding.
+// decode, full dst overwrite) keeps holding. The frontends store their
+// lines as planes like every other scheme's: NewLineCodec resolves the
+// plane form (CounterPlaneScheme, or Enc's codec), and the scalar pair
+// stays the reference it is tested against.
 type CounterScheme interface {
 	// EncodeCtrInto is EncodeInto keyed by (addr, ctr).
 	EncodeCtrInto(dst, old []pcm.State, addr, ctr uint64, data *memline.Line)

@@ -10,22 +10,22 @@ import (
 )
 
 // allocSchemes is every evaluation scheme plus the remaining WLCRC
-// granularities and the VCC family — the full set whose steady-state
-// replay must be allocation-free. The Enc(...) wrapper is exempt: its
-// ciphertext staging line cycles through a sync.Pool, which is
-// allocation-free in steady state but may refill after a GC, so it has
-// no hard zero-alloc guarantee to assert.
+// granularities, the VCC family and the encrypted WLCRC — the full set
+// whose steady-state replay must be allocation-free. Enc's plane codec
+// stages its ciphertext in the shard's own codec, not in a pool, so it
+// carries the same hard guarantee.
 var allocSchemes = []string{
 	"Baseline", "FlipMin", "FNW", "DIN", "6cosets", "COC+4cosets",
 	"WLC+4cosets", "WLC+3cosets",
 	"WLCRC-8", "WLCRC-16", "WLCRC-32", "WLCRC-64",
-	"VCC-2", "VCC-4", "VCC-8",
+	"VCC-2", "VCC-4", "VCC-8", "Enc(WLCRC-16)",
 }
 
-// allocFixture builds a shard and a warmed request set: every address
-// has been written once, so the measured loop only exercises the
-// steady-state rewrite path.
-func allocFixture(t *testing.T, name string, opts Options) (*shard, []trace.Request) {
+// allocFixture builds a shard and a warmed routed request set: every
+// address has been written once, so the measured loop only exercises
+// the steady-state rewrite path. Tests replay rs[i:i+1] to drive one
+// request at a time through applyRun.
+func allocFixture(t *testing.T, name string, opts Options) (*shard, []routedReq) {
 	t.Helper()
 	sch, err := core.NewScheme(name, core.DefaultConfig())
 	if err != nil {
@@ -39,14 +39,13 @@ func allocFixture(t *testing.T, name string, opts Options) (*shard, []trace.Requ
 	if !ok {
 		t.Fatal("gcc profile missing")
 	}
-	src := trace.Record(workload.NewGenerator(p, 64, 11), 256)
-	reqs := src.Reqs
-	for i := range reqs {
-		if err := u.apply(&reqs[i], uint64(i)); err != nil {
+	rs := routedBatch(trace.Record(workload.NewGenerator(p, 64, 11), 256).Reqs)
+	for i := range rs {
+		if _, err := u.applyRun(rs[i : i+1]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return u, reqs
+	return u, rs
 }
 
 // TestSteadyStateApplyZeroAllocs is the PR's acceptance criterion: with
@@ -58,10 +57,11 @@ func TestSteadyStateApplyZeroAllocs(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			opts := DefaultOptions()
 			opts.Verify = false
-			u, reqs := allocFixture(t, name, opts)
+			u, rs := allocFixture(t, name, opts)
 			i := 0
 			avg := testing.AllocsPerRun(200, func() {
-				if err := u.apply(&reqs[i%len(reqs)], uint64(i)); err != nil {
+				k := i % len(rs)
+				if _, err := u.applyRun(rs[k : k+1]); err != nil {
 					t.Fatal(err)
 				}
 				i++
@@ -77,15 +77,16 @@ func TestSteadyStateApplyZeroAllocs(t *testing.T) {
 // wear tracking: once a line has a wear slot, recording its programmed
 // cells is pure array increments.
 func TestSteadyStateApplyZeroAllocsWear(t *testing.T) {
-	for _, name := range []string{"Baseline", "WLCRC-16"} {
+	for _, name := range []string{"Baseline", "WLCRC-16", "VCC-4", "Enc(WLCRC-16)"} {
 		t.Run(name, func(t *testing.T) {
 			opts := DefaultOptions()
 			opts.Verify = false
 			opts.TrackWear = true
-			u, reqs := allocFixture(t, name, opts)
+			u, rs := allocFixture(t, name, opts)
 			i := 0
 			avg := testing.AllocsPerRun(200, func() {
-				if err := u.apply(&reqs[i%len(reqs)], uint64(i)); err != nil {
+				k := i % len(rs)
+				if _, err := u.applyRun(rs[k : k+1]); err != nil {
 					t.Fatal(err)
 				}
 				i++
@@ -112,8 +113,8 @@ func routedBatch(reqs []trace.Request) []routedReq {
 }
 
 // TestSteadyStateApplyRunZeroAllocs pins the batch-encode path: after a
-// warm-up pass has grown the run buffers (jobs, jobSeqs, the spare cell
-// stack) to their steady-state capacity, replaying whole routed batches
+// warm-up pass has grown the run buffers (jobs, the spare plane stack)
+// to their steady-state capacity, replaying whole routed batches
 // through applyRun must allocate nothing — with Verify off and on, for
 // every scheme. This is the path every Engine worker runs, so it is the
 // pipeline's real zero-alloc guarantee.
@@ -128,10 +129,9 @@ func TestSteadyStateApplyRunZeroAllocs(t *testing.T) {
 				t.Run(scheme, func(t *testing.T) {
 					opts := DefaultOptions()
 					opts.Verify = verify
-					u, reqs := allocFixture(t, scheme, opts)
-					rs := routedBatch(reqs)
+					u, rs := allocFixture(t, scheme, opts)
 					// Warm the run buffers themselves (allocFixture warmed
-					// via the single-request path only).
+					// one request at a time).
 					if _, err := u.applyRun(rs); err != nil {
 						t.Fatal(err)
 					}
@@ -150,27 +150,21 @@ func TestSteadyStateApplyRunZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestArenaStorageSelection pins the storage dispatch of the
-// plane-native PR: every plane-capable scheme must get the arena store
-// (and no scalar map), while counter-keyed schemes keep the scalar map
-// path — their codecs need (addr, ctr) and have no plane entry points.
+// TestArenaStorageSelection pins the single write path: every scheme —
+// plane-native, counter-keyed, or scalar-only behind the adapter — gets
+// the arena store, and exactly the counter-keyed schemes get a counter
+// store.
 func TestArenaStorageSelection(t *testing.T) {
 	opts := DefaultOptions()
-	for _, name := range allocSchemes {
-		sch, err := core.NewScheme(name, core.DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
+	schemes := schemesForTest(t, allocSchemes...)
+	schemes = append(schemes, scalarOnlyScheme{})
+	for _, sch := range schemes {
 		u := newShard(&opts, sch, nil, nil)
-		_, wantPlanes := core.PlaneCodec(sch)
-		if gotPlanes := u.arena != nil; gotPlanes != wantPlanes {
-			t.Errorf("%s: arena storage = %v, PlaneCodec = %v", name, gotPlanes, wantPlanes)
+		if u.arena == nil || u.codec == nil {
+			t.Errorf("%s: shard has no arena store or plane codec", sch.Name())
 		}
-		if wantPlanes && u.mem != nil {
-			t.Errorf("%s: plane-native shard also allocated the scalar map", name)
-		}
-		if !wantPlanes && u.mem == nil {
-			t.Errorf("%s: scalar shard has no map store", name)
+		if got, want := u.ctrs != nil, core.UsesCounters(sch); got != want {
+			t.Errorf("%s: counter store = %v, UsesCounters = %v", sch.Name(), got, want)
 		}
 	}
 }
@@ -182,7 +176,7 @@ func TestArenaStorageSelection(t *testing.T) {
 // nothing. Endurance wear-out stays off to keep the stuck set (and
 // hence the parity store) fixed after warm-up.
 func TestSteadyStateApplyZeroAllocsStuckRepair(t *testing.T) {
-	for _, name := range []string{"Baseline", "WLCRC-16", "6cosets"} {
+	for _, name := range []string{"Baseline", "WLCRC-16", "6cosets", "VCC-4"} {
 		t.Run(name, func(t *testing.T) {
 			sch, err := core.NewScheme(name, core.DefaultConfig())
 			if err != nil {
@@ -206,19 +200,19 @@ func TestSteadyStateApplyZeroAllocsStuckRepair(t *testing.T) {
 			if !ok {
 				t.Fatal("gcc profile missing")
 			}
-			src := trace.Record(workload.NewGenerator(p, 64, 11), 256)
-			reqs := src.Reqs
-			for i := range reqs {
-				if err := u.apply(&reqs[i], uint64(i)); err != nil {
+			rs := routedBatch(trace.Record(workload.NewGenerator(p, 64, 11), 256).Reqs)
+			for i := range rs {
+				if _, err := u.applyRun(rs[i : i+1]); err != nil {
 					t.Fatal(err)
 				}
 			}
 			if u.fm.Stats.Detected == 0 {
 				t.Fatal("warm-up never hit a stuck cell; the test is not exercising repair")
 			}
-			i := len(reqs)
+			i := 0
 			avg := testing.AllocsPerRun(200, func() {
-				if err := u.apply(&reqs[i%len(reqs)], uint64(i)); err != nil {
+				k := i % len(rs)
+				if _, err := u.applyRun(rs[k : k+1]); err != nil {
 					t.Fatal(err)
 				}
 				i++
@@ -238,10 +232,11 @@ func TestSteadyStateApplyZeroAllocsVerify(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			opts := DefaultOptions()
 			opts.Verify = true
-			u, reqs := allocFixture(t, name, opts)
+			u, rs := allocFixture(t, name, opts)
 			i := 0
 			avg := testing.AllocsPerRun(200, func() {
-				if err := u.apply(&reqs[i%len(reqs)], uint64(i)); err != nil {
+				k := i % len(rs)
+				if _, err := u.applyRun(rs[k : k+1]); err != nil {
 					t.Fatal(err)
 				}
 				i++

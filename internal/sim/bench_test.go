@@ -23,10 +23,10 @@ import (
 	"wlcrc/internal/workload"
 )
 
-// benchShard builds a warmed shard and request set for b, mirroring the
-// alloc tests' fixture: every address pre-written once so the measured
-// loop is the steady-state rewrite path.
-func benchShard(b *testing.B, scheme string, opts Options) (*shard, []trace.Request) {
+// benchShard builds a warmed shard and routed request set for b,
+// mirroring the alloc tests' fixture: every address pre-written once so
+// the measured loop is the steady-state rewrite path.
+func benchShard(b *testing.B, scheme string, opts Options) (*shard, []routedReq) {
 	b.Helper()
 	sch, err := core.NewScheme(scheme, core.DefaultConfig())
 	if err != nil {
@@ -40,13 +40,13 @@ func benchShard(b *testing.B, scheme string, opts Options) (*shard, []trace.Requ
 	if !ok {
 		b.Fatal("gcc profile missing")
 	}
-	src := trace.Record(workload.NewGenerator(p, 64, 11), 256)
-	for i := range src.Reqs {
-		if err := u.apply(&src.Reqs[i], uint64(i)); err != nil {
+	rs := routedBatch(trace.Record(workload.NewGenerator(p, 64, 11), 256).Reqs)
+	for i := range rs {
+		if _, err := u.applyRun(rs[i : i+1]); err != nil {
 			b.Fatal(err)
 		}
 	}
-	return u, src.Reqs
+	return u, rs
 }
 
 // benchShardSchemes spans the cost spectrum: plain differential write,
@@ -54,17 +54,18 @@ func benchShard(b *testing.B, scheme string, opts Options) (*shard, []trace.Requ
 var benchShardSchemes = []string{"Baseline", "WLCRC-16", "VCC-4"}
 
 // BenchmarkShardApply measures the shard layer one request at a time —
-// the serial Simulator's inner loop.
+// runs of length one, so no encode batching.
 func BenchmarkShardApply(b *testing.B) {
 	for _, scheme := range benchShardSchemes {
 		b.Run(scheme, func(b *testing.B) {
 			opts := DefaultOptions()
 			opts.Verify = false
-			u, reqs := benchShard(b, scheme, opts)
+			u, rs := benchShard(b, scheme, opts)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := u.apply(&reqs[i%len(reqs)], uint64(i)); err != nil {
+				k := i % len(rs)
+				if _, err := u.applyRun(rs[k : k+1]); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -81,11 +82,7 @@ func BenchmarkShardApplyRun(b *testing.B) {
 		b.Run(scheme, func(b *testing.B) {
 			opts := DefaultOptions()
 			opts.Verify = false
-			u, reqs := benchShard(b, scheme, opts)
-			rs := make([]routedReq, len(reqs))
-			for i := range reqs {
-				rs[i] = routedReq{seq: uint64(i), req: reqs[i]}
-			}
+			u, rs := benchShard(b, scheme, opts)
 			if _, err := u.applyRun(rs); err != nil { // warm run buffers
 				b.Fatal(err)
 			}

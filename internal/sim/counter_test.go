@@ -54,12 +54,13 @@ func TestEngineCounterSchemesBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestEngineCounterSchemesMatchSimulator checks the sharded engine
-// against the single-threaded reference for counter-keyed schemes: the
-// counter stores are per-frontend, so both must advance identically.
+// TestEngineCounterSchemesMatchSimulator checks the sharded engine's
+// plane codecs for counter-keyed schemes against the scalar reference
+// replayer: the counter stores are per-frontend, so both must advance
+// identically, and every metric must agree bit for bit.
 func TestEngineCounterSchemesMatchSimulator(t *testing.T) {
 	src := encryptedTrace(t, 1500)
-	ref := New(DefaultOptions(), schemesForTest(t, counterSchemeNames...)...)
+	ref := newRefReplayer(DefaultOptions(), schemesForTest(t, counterSchemeNames...)...)
 	if err := ref.Run(src, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -70,12 +71,8 @@ func TestEngineCounterSchemesMatchSimulator(t *testing.T) {
 	}
 	want, got := ref.Metrics(), e.Metrics()
 	for i := range want {
-		w, g := want[i], got[i]
-		if w.Scheme != g.Scheme || w.Writes != g.Writes ||
-			w.Energy.UpdatedData != g.Energy.UpdatedData ||
-			w.Energy.UpdatedAux != g.Energy.UpdatedAux ||
-			w.DecodeErrors != g.DecodeErrors {
-			t.Errorf("%s: simulator and engine diverge: %+v vs %+v", w.Scheme, w.Energy, g.Energy)
+		if !reflect.DeepEqual(want[i], got[i]) {
+			t.Errorf("%s: reference and engine diverge:\nreference: %+v\nengine:    %+v", want[i].Scheme, want[i], got[i])
 		}
 	}
 }
@@ -130,21 +127,28 @@ func TestShardCounterAdvances(t *testing.T) {
 	opts := DefaultOptions()
 	u := newShard(&opts, sch, nil, nil)
 	src := encryptedTrace(t, 1)
-	req := src.Reqs[0]
+	rs := routedBatch(src.Reqs)
+	ctr := func() uint64 {
+		slot, ok := u.arena.Lookup(rs[0].req.Addr)
+		if !ok {
+			return 0
+		}
+		return u.ctrOf(slot)
+	}
 	for i := 1; i <= 3; i++ {
-		if err := u.apply(&req, 0); err != nil {
+		if _, err := u.applyRun(rs); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
-		if got := u.ctrs[req.Addr]; got != uint64(i) {
+		if got := ctr(); got != uint64(i) {
 			t.Fatalf("after write %d: counter = %d", i, got)
 		}
 	}
 	u.resetMetrics()
-	if got := u.ctrs[req.Addr]; got != 3 {
+	if got := ctr(); got != 3 {
 		t.Errorf("resetMetrics cleared the counter store (ctr=%d)", got)
 	}
 	u.reset()
-	if got := u.ctrs[req.Addr]; got != 0 {
+	if got := ctr(); got != 0 {
 		t.Errorf("reset kept the counter store (ctr=%d)", got)
 	}
 }

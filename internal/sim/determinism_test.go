@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"wlcrc/internal/core"
 	"wlcrc/internal/fault"
 	"wlcrc/internal/memsys"
 	"wlcrc/internal/trace"
@@ -46,11 +47,13 @@ func determinismWorkerSet(banks int) []int {
 // Workers=1, ingest-off run of the same trace. The -race CI job runs
 // this matrix too, so the guarantee is checked under the race detector.
 // TestScalarStorageBitIdentical is the cross-storage leg of the net:
-// the same trace replayed on the plane-native arena and on the
-// reference scalar store (Options.ScalarStorage) must produce
-// DeepEqual metrics, snapshots, retired-line sets and errors —
-// including under the full stuck-at + repair pipeline, whose plane
-// fast path falls back to the scalar repair encoder on mismatches.
+// the same trace replayed by the plane-native engine and by the scalar
+// reference replayer (cell vectors in a map, scalar codecs and models)
+// must produce DeepEqual metrics, retired-line sets and errors — for
+// the counter-keyed plane codecs and the scalar-only adapter too, and
+// including under the full
+// stuck-at + repair pipeline, whose plane fast path falls back to the
+// scalar repair encoder on mismatches.
 func TestScalarStorageBitIdentical(t *testing.T) {
 	geo := determinismGeometry()
 	modes := []struct {
@@ -62,6 +65,11 @@ func TestScalarStorageBitIdentical(t *testing.T) {
 			name:  "deterministic",
 			src:   func(t *testing.T) *trace.SliceSource { return fixedTrace(t, "gcc", 512, 2500, 11) },
 			tweak: func(o *Options) {},
+		},
+		{
+			name:  "sampled",
+			src:   func(t *testing.T) *trace.SliceSource { return fixedTrace(t, "mcf", 512, 2500, 23) },
+			tweak: func(o *Options) { o.InjectFaults = true; o.Seed = 42 },
 		},
 		{
 			name: "stuck+repair",
@@ -83,25 +91,36 @@ func TestScalarStorageBitIdentical(t *testing.T) {
 	for _, mode := range modes {
 		t.Run(mode.name, func(t *testing.T) {
 			src := mode.src(t)
+			names := append([]string{"VCC-4", "Enc(WLCRC-16)"}, engineSchemeNames...)
+			schemes := func() []core.Scheme {
+				return append(schemesForTest(t, names...), scalarOnlyScheme{})
+			}
+			type replayer interface {
+				Run(src trace.Source, max int) error
+				Metrics() []Metrics
+				RetiredLines() [][]uint64
+			}
 			run := func(scalar bool) (metrics []Metrics, retired [][]uint64, err error) {
 				src.Rewind()
 				opts := DefaultOptions()
 				opts.Geometry = geo
 				opts.Workers = 1
 				opts.TrackWear = true
-				opts.ScalarStorage = scalar
 				mode.tweak(&opts)
-				e := NewEngine(opts, schemesForTest(t, engineSchemeNames...)...)
-				err = e.Run(src, 0)
+				var r replayer = NewEngine(opts, schemes()...)
+				if scalar {
+					r = newRefReplayer(opts, schemes()...)
+				}
+				err = r.Run(src, 0)
 				if err != nil && !errors.As(err, new(*DegradedError)) {
 					t.Fatal(err)
 				}
-				return e.Metrics(), e.RetiredLines(), err
+				return r.Metrics(), r.RetiredLines(), err
 			}
 			planeMetrics, planeRetired, planeErr := run(false)
 			scalarMetrics, scalarRetired, scalarErr := run(true)
 			if !reflect.DeepEqual(planeMetrics, scalarMetrics) {
-				t.Error("plane-arena Metrics differ from scalar-storage reference")
+				t.Error("plane-arena Metrics differ from the scalar reference replayer")
 			}
 			if !reflect.DeepEqual(planeRetired, scalarRetired) {
 				t.Errorf("retired-line sets differ:\nplanes: %v\nscalar: %v", planeRetired, scalarRetired)

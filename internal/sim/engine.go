@@ -69,7 +69,7 @@ const progressStride = 1024
 // Workers drain their queue one unit-batch at a time and replay it
 // scheme-major through the shard batch-encode path (shard.applyRun):
 // all of one scheme's state — SWAR cost tables, coset selectors, the
-// shard's line map — stays hot across the whole batch instead of being
+// shard's line arena — stays hot across the whole batch instead of being
 // evicted by the next scheme's on every request.
 //
 // Determinism: results never depend on Options.Workers. Unit ownership
@@ -296,7 +296,6 @@ func (e *Engine) Run(src trace.Source, max int) error {
 // cover exactly the requests read before the stop, applied to every
 // scheme alike. A background context costs one nil check per request.
 func (e *Engine) RunContext(ctx context.Context, src trace.Source, max int) error {
-	e.reserveLines(src, max)
 	done := ctx.Done()
 	chans := make([]chan batch, e.workers)
 	for i := range chans {
@@ -382,35 +381,6 @@ func (e *Engine) RunContext(ctx context.Context, src trace.Source, max int) erro
 		return err
 	}
 	return degradedError(e.Metrics(), e.opts.Faults)
-}
-
-// reserveLineCap bounds the per-shard arena preallocation a Count()
-// hint can request. The request count only upper-bounds the distinct
-// lines (most traces rewrite heavily), so the hint is treated as a
-// growth-churn saver, not a sizing guarantee — past the cap, the
-// arena's amortized doubling takes over.
-const reserveLineCap = 4096
-
-// reserveLines sizes every shard's arena from the source's request
-// count when it advertises one (mmap-backed and pre-parsed sources
-// implement Count). Shards partition the address space, so each gets
-// the per-unit share.
-func (e *Engine) reserveLines(src trace.Source, max int) {
-	c, ok := src.(interface{ Count() uint64 })
-	if !ok {
-		return
-	}
-	n := c.Count()
-	if max > 0 && uint64(max) < n {
-		n = uint64(max)
-	}
-	hint := int(n/uint64(e.units)) + 1
-	if hint > reserveLineCap {
-		hint = reserveLineCap
-	}
-	for _, u := range e.shards {
-		u.reserve(hint)
-	}
 }
 
 // canceled reports whether done is closed without blocking; a nil done
@@ -531,7 +501,7 @@ func (e *Engine) handOff(ch chan batch, ready []*[]routedReq, u int, p *[]routed
 // by the receiving worker, and all schemes' shards of that unit share
 // the owner, so no other goroutine ever touches the shards referenced
 // here. Replaying the whole batch through one scheme before the next
-// keeps that scheme's tables and line map hot, and hands the shard
+// keeps that scheme's tables and line arena hot, and hands the shard
 // batch-encode path runs of multiple lines per scheme call.
 func (e *Engine) applyUnitBatch(b batch, failed *atomic.Bool) {
 	rs := *b.reqs
@@ -708,23 +678,3 @@ func degradedError(ms []Metrics, cfg fault.Config) error {
 	}
 	return &DegradedError{Schemes: degraded, Threshold: threshold, Metrics: ms}
 }
-
-// Replayer is the interface shared by Simulator and Engine: replay a
-// write stream, then report per-scheme metrics. The compile-time
-// asserts below keep the two frontends' surfaces in lockstep; callers
-// that want to swap the serial reference for the parallel engine (or
-// back) can program against it.
-type Replayer interface {
-	Run(src trace.Source, max int) error
-	RunContext(ctx context.Context, src trace.Source, max int) error
-	Metrics() []Metrics
-	Snapshot() []Metrics
-	MetricsFor(name string) (Metrics, bool)
-	ResetMetrics()
-	Reset()
-}
-
-var (
-	_ Replayer = (*Simulator)(nil)
-	_ Replayer = (*Engine)(nil)
-)

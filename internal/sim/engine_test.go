@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -66,49 +65,28 @@ func engineRun(t *testing.T, src *trace.SliceSource, workers int, tweak func(*Op
 	return e.Metrics()
 }
 
-// TestEngineMatchesSimulator checks the engine against the
-// single-threaded reference implementation in deterministic mode:
-// integer counters must agree exactly, and float accumulators must agree
-// up to summation-order rounding (the engine groups per-bank partial
-// sums before merging).
+// TestEngineMatchesSimulator checks the engine against the scalar
+// reference replayer in deterministic mode: the reference lays shards
+// out like the engine and merges them in the same order, so every
+// metric — floats included — must agree exactly, whatever the worker
+// count.
 func TestEngineMatchesSimulator(t *testing.T) {
 	src := fixedTrace(t, "mcf", 512, 3000, 5)
-	ref := New(DefaultOptions(), schemesForTest(t, engineSchemeNames...)...)
+	ref := newRefReplayer(DefaultOptions(), schemesForTest(t, engineSchemeNames...)...)
 	if err := ref.Run(src, 0); err != nil {
 		t.Fatal(err)
 	}
 	src.Rewind()
-	opts := DefaultOptions()
-	e := NewEngine(opts, schemesForTest(t, engineSchemeNames...)...)
+	e := NewEngine(DefaultOptions(), schemesForTest(t, engineSchemeNames...)...)
 	if err := e.Run(src, 0); err != nil {
 		t.Fatal(err)
 	}
-	want := ref.Metrics()
-	got := e.Metrics()
+	want, got := ref.Metrics(), e.Metrics()
 	for i := range want {
-		w, g := want[i], got[i]
-		if w.Scheme != g.Scheme || w.Writes != g.Writes ||
-			w.Energy.UpdatedData != g.Energy.UpdatedData ||
-			w.Energy.UpdatedAux != g.Energy.UpdatedAux ||
-			w.CompressedWrites != g.CompressedWrites ||
-			w.DecodeErrors != g.DecodeErrors {
-			t.Errorf("%s: integer counters diverge: simulator %+v, engine %+v", w.Scheme, w, g)
-		}
-		if !closeRel(w.Energy.EnergyData, g.Energy.EnergyData) ||
-			!closeRel(w.Energy.EnergyAux, g.Energy.EnergyAux) ||
-			!closeRel(w.Disturb.ErrorsData, g.Disturb.ErrorsData) ||
-			!closeRel(w.Disturb.ErrorsAux, g.Disturb.ErrorsAux) {
-			t.Errorf("%s: float accumulators diverge beyond rounding: simulator %+v, engine %+v",
-				w.Scheme, w.Energy, g.Energy)
+		if !reflect.DeepEqual(want[i], got[i]) {
+			t.Errorf("%s: reference and engine diverge:\nreference: %+v\nengine:    %+v", want[i].Scheme, want[i], got[i])
 		}
 	}
-}
-
-func closeRel(a, b float64) bool {
-	if a == b {
-		return true
-	}
-	return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
 }
 
 // TestEngineWarmupResetMetrics mirrors the experiment harness's warm-up
@@ -204,7 +182,7 @@ func TestEngineGeometry(t *testing.T) {
 	}
 }
 
-// TestEngineMetricsForAndReset covers the remaining Replayer surface.
+// TestEngineMetricsForAndReset covers MetricsFor and Reset.
 func TestEngineMetricsForAndReset(t *testing.T) {
 	src := fixedTrace(t, "libq", 64, 300, 1)
 	e := NewEngine(DefaultOptions(), schemesForTest(t, "Baseline", "WLCRC-16")...)
@@ -224,7 +202,7 @@ func TestEngineMetricsForAndReset(t *testing.T) {
 	}
 }
 
-// TestEngineRunMaxLimit mirrors the Simulator's max-request contract.
+// TestEngineRunMaxLimit pins the max-request contract of Run.
 func TestEngineRunMaxLimit(t *testing.T) {
 	p, _ := workload.ProfileByName("mcf")
 	e := NewEngine(DefaultOptions(), schemesForTest(t, "Baseline")...)

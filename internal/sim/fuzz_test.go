@@ -83,7 +83,7 @@ func FuzzStuckRepair(f *testing.F) {
 		replay := func() ([]Metrics, map[string]map[uint64]readResult) {
 			opts := DefaultOptions() // Verify on
 			opts.Faults = cfg
-			s := New(opts, schemesForTest(t, "Baseline", "WLCRC-16")...)
+			s := newSerialEngine(opts, schemesForTest(t, "Baseline", "WLCRC-16")...)
 			err := s.Run(&trace.SliceSource{Reqs: reqs}, 0)
 			if err != nil {
 				if !errors.As(err, new(*DegradedError)) {

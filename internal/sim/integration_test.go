@@ -56,7 +56,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	schemes := schemesForTest(t,
 		"Baseline", "FlipMin", "FNW", "DIN", "6cosets",
 		"COC+4cosets", "WLC+4cosets", "WLCRC-16")
-	s := New(DefaultOptions(), schemes...)
+	s := newSerialEngine(DefaultOptions(), schemes...)
 	if err := s.Run(&trace.ReaderSource{R: rd}, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestEndToEndPipeline(t *testing.T) {
 func TestCrossSchemeAgreementUnderSharedStream(t *testing.T) {
 	p, _ := workload.ProfileByName("cann")
 	run := func(names ...string) Metrics {
-		s := New(DefaultOptions(), schemesForTest(t, names...)...)
+		s := newSerialEngine(DefaultOptions(), schemesForTest(t, names...)...)
 		if err := s.Run(&workload.Limited{Src: workload.NewGenerator(p, 128, 77), N: 800}, 0); err != nil {
 			t.Fatal(err)
 		}

@@ -26,9 +26,9 @@ func schemesForTest(t *testing.T, names ...string) []core.Scheme {
 	return out
 }
 
-func TestSimulatorBasicRun(t *testing.T) {
+func TestSerialEngineBasicRun(t *testing.T) {
 	schemes := schemesForTest(t, "Baseline", "WLCRC-16")
-	s := New(DefaultOptions(), schemes...)
+	s := newSerialEngine(DefaultOptions(), schemes...)
 	p, _ := workload.ProfileByName("gcc")
 	src := &workload.Limited{Src: workload.NewGenerator(p, 256, 1), N: 500}
 	if err := s.Run(src, 0); err != nil {
@@ -50,9 +50,9 @@ func TestSimulatorBasicRun(t *testing.T) {
 	}
 }
 
-func TestSimulatorRunMaxLimit(t *testing.T) {
+func TestSerialEngineRunMaxLimit(t *testing.T) {
 	schemes := schemesForTest(t, "Baseline")
-	s := New(DefaultOptions(), schemes...)
+	s := newSerialEngine(DefaultOptions(), schemes...)
 	p, _ := workload.ProfileByName("mcf")
 	if err := s.Run(workload.NewGenerator(p, 128, 2), 100); err != nil {
 		t.Fatal(err)
@@ -66,7 +66,7 @@ func TestWLCRCBeatsBaselineOnBenchmarks(t *testing.T) {
 	// The headline claim at small scale: WLCRC-16 must use substantially
 	// less write energy than the baseline on biased workloads.
 	schemes := schemesForTest(t, "Baseline", "WLCRC-16")
-	s := New(DefaultOptions(), schemes...)
+	s := newSerialEngine(DefaultOptions(), schemes...)
 	for _, name := range []string{"gcc", "mcf", "lesl"} {
 		p, _ := workload.ProfileByName(name)
 		if err := s.Run(&workload.Limited{Src: workload.NewGenerator(p, 256, 3), N: 800}, 0); err != nil {
@@ -86,10 +86,10 @@ func TestWLCRCBeatsBaselineOnBenchmarks(t *testing.T) {
 
 func TestVerifyCatchesCorruption(t *testing.T) {
 	// A scheme that decodes wrongly must surface as an error.
-	s := New(DefaultOptions(), brokenScheme{})
+	s := newSerialEngine(DefaultOptions(), brokenScheme{})
 	var req trace.Request
 	req.New.SetWord(0, 42)
-	err := s.Write(req)
+	err := s.Run(&trace.SliceSource{Reqs: []trace.Request{req}}, 0)
 	if err == nil || !strings.Contains(err.Error(), "decode mismatch") {
 		t.Fatalf("err = %v, want decode mismatch", err)
 	}
@@ -110,8 +110,8 @@ func (b brokenScheme) DecodeInto(cells []pcm.State, dst *memline.Line) {
 	dst[0] ^= 0xff
 }
 
-// DecodePlanesInto mirrors the scalar corruption so the breakage
-// surfaces on whichever storage path the shard resolves.
+// DecodePlanesInto mirrors the scalar corruption on the plane codec
+// the shard resolves.
 func (b brokenScheme) DecodePlanesInto(planes []uint64, dst *memline.Line) {
 	b.Baseline.DecodePlanesInto(planes, dst)
 	dst[0] ^= 0xff
@@ -122,14 +122,14 @@ func TestDisturbSampledVsExpected(t *testing.T) {
 	// in aggregate.
 	p, _ := workload.ProfileByName("zeus")
 
-	exp := New(DefaultOptions(), schemesForTest(t, "Baseline")...)
+	exp := newSerialEngine(DefaultOptions(), schemesForTest(t, "Baseline")...)
 	if err := exp.Run(&workload.Limited{Src: workload.NewGenerator(p, 256, 4), N: 1500}, 0); err != nil {
 		t.Fatal(err)
 	}
 	optsS := DefaultOptions()
 	optsS.SampleDisturb = true
 	optsS.Seed = 12345
-	smp := New(optsS, schemesForTest(t, "Baseline")...)
+	smp := newSerialEngine(optsS, schemesForTest(t, "Baseline")...)
 	if err := smp.Run(&workload.Limited{Src: workload.NewGenerator(p, 256, 4), N: 1500}, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestDisturbSampledVsExpected(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	s := New(DefaultOptions(), schemesForTest(t, "Baseline")...)
+	s := newSerialEngine(DefaultOptions(), schemesForTest(t, "Baseline")...)
 	p, _ := workload.ProfileByName("libq")
 	s.Run(&workload.Limited{Src: workload.NewGenerator(p, 64, 5), N: 50}, 0)
 	s.Reset()
@@ -154,7 +154,7 @@ func TestReset(t *testing.T) {
 }
 
 func TestMetricsForUnknown(t *testing.T) {
-	s := New(DefaultOptions(), schemesForTest(t, "Baseline")...)
+	s := newSerialEngine(DefaultOptions(), schemesForTest(t, "Baseline")...)
 	if _, ok := s.MetricsFor("nope"); ok {
 		t.Error("MetricsFor(nope) succeeded")
 	}

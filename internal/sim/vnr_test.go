@@ -39,7 +39,7 @@ func TestVnREliminatesErrorsWithinFiveIterations(t *testing.T) {
 	opts := DefaultOptions()
 	opts.InjectFaults = true
 	opts.Seed = 11
-	s := New(opts, schemesForTest(t, "Baseline", "WLCRC-16")...)
+	s := newSerialEngine(opts, schemesForTest(t, "Baseline", "WLCRC-16")...)
 	p, _ := workload.ProfileByName("lesl") // most disturbance-prone
 	if err := s.Run(&workload.Limited{Src: workload.NewGenerator(p, 128, 9), N: 2000}, 0); err != nil {
 		t.Fatal(err)
@@ -74,7 +74,7 @@ func TestVnRRestoreEnergySmallVsWriteEnergy(t *testing.T) {
 	opts := DefaultOptions()
 	opts.InjectFaults = true
 	opts.Seed = 3
-	s := New(opts, schemesForTest(t, "WLCRC-16")...)
+	s := newSerialEngine(opts, schemesForTest(t, "WLCRC-16")...)
 	p, _ := workload.ProfileByName("zeus")
 	if err := s.Run(&workload.Limited{Src: workload.NewGenerator(p, 128, 4), N: 2000}, 0); err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestVnRRestoreEnergySmallVsWriteEnergy(t *testing.T) {
 }
 
 func TestVnRDisabledByDefault(t *testing.T) {
-	s := New(DefaultOptions(), schemesForTest(t, "Baseline")...)
+	s := newSerialEngine(DefaultOptions(), schemesForTest(t, "Baseline")...)
 	p, _ := workload.ProfileByName("gcc")
 	if err := s.Run(&workload.Limited{Src: workload.NewGenerator(p, 64, 1), N: 200}, 0); err != nil {
 		t.Fatal(err)

@@ -23,6 +23,18 @@ type compressionGate interface {
 	CompressedWrite(cells []pcm.State) bool
 }
 
+// planeInner mirrors core.PlaneScheme, the inner codec the plane path
+// of Encrypted drives.
+type planeInner interface {
+	EncodePlanesInto(dst, old []uint64, data *memline.Line)
+	DecodePlanesInto(planes []uint64, dst *memline.Line)
+}
+
+// planeGate mirrors core.PlaneCompressionGate for delegation.
+type planeGate interface {
+	CompressedWritePlanes(planes []uint64) bool
+}
+
 // Encrypted models counter-mode encryption sitting below an ordinary
 // write encoder: every write re-encrypts the line under a fresh
 // (key, addr, ctr) pad and hands the inner scheme the ciphertext; reads
@@ -40,7 +52,11 @@ type Encrypted struct {
 	inner  Inner
 	cipher Cipher
 	gate   func([]pcm.State) bool // nil when the inner scheme has no gate
-	name   string
+	// planes and planeGate are the inner scheme's plane codec and plane
+	// gate; nil when it has none.
+	planes    planeInner
+	planeGate func([]uint64) bool
+	name      string
 	// bufs recycles the ciphertext staging line: a stack Line would
 	// escape through the inner-scheme interface call on every write.
 	bufs sync.Pool
@@ -56,6 +72,10 @@ func NewEncrypted(inner Inner, key uint64) *Encrypted {
 	}
 	if g, ok := inner.(compressionGate); ok {
 		e.gate = g.CompressedWrite
+	}
+	e.planes, _ = inner.(planeInner)
+	if g, ok := inner.(planeGate); ok {
+		e.planeGate = g.CompressedWritePlanes
 	}
 	e.bufs.New = func() any { return new(memline.Line) }
 	return e
@@ -81,6 +101,16 @@ func (e *Encrypted) CompressedWrite(cells []pcm.State) bool {
 		return true
 	}
 	return e.gate(cells)
+}
+
+// CompressedWritePlanes implements core.PlaneCompressionGate by
+// delegating to the inner scheme's plane gate, with the same default as
+// CompressedWrite.
+func (e *Encrypted) CompressedWritePlanes(planes []uint64) bool {
+	if e.planeGate == nil {
+		return true
+	}
+	return e.planeGate(planes)
 }
 
 // Encode implements core.Scheme (allocating wrapper, addr=0, ctr=0).
@@ -124,4 +154,37 @@ func (e *Encrypted) EncodeCtrInto(dst, old []pcm.State, addr, ctr uint64, data *
 func (e *Encrypted) DecodeCtrInto(cells []pcm.State, addr, ctr uint64, dst *memline.Line) {
 	e.inner.DecodeInto(cells, dst)
 	e.cipher.WhitenLine(dst, addr, ctr)
+}
+
+// PlaneCodec returns a plane-resident codec for e, or ok=false when the
+// inner scheme has no plane codec. The codec owns the ciphertext
+// staging line its encode hands the inner scheme, so it is
+// allocation-free without a pool but not safe for concurrent use: each
+// replay frontend takes its own.
+func (e *Encrypted) PlaneCodec() (c *EncryptedPlanes, ok bool) {
+	if e.planes == nil {
+		return nil, false
+	}
+	return &EncryptedPlanes{e: e}, true
+}
+
+// EncryptedPlanes is the plane-resident codec of an Encrypted scheme
+// (core.CounterPlaneScheme): encrypt, then the inner scheme's
+// EncodePlanesInto; the inner DecodePlanesInto, then decrypt.
+type EncryptedPlanes struct {
+	e   *Encrypted
+	buf memline.Line
+}
+
+// EncodeCtrPlanesInto is EncodeCtrInto on plane-resident lines.
+func (c *EncryptedPlanes) EncodeCtrPlanesInto(dst, old []uint64, addr, ctr uint64, data *memline.Line) {
+	c.buf = *data
+	c.e.cipher.WhitenLine(&c.buf, addr, ctr)
+	c.e.planes.EncodePlanesInto(dst, old, &c.buf)
+}
+
+// DecodeCtrPlanesInto is DecodeCtrInto on plane-resident lines.
+func (c *EncryptedPlanes) DecodeCtrPlanesInto(planes []uint64, addr, ctr uint64, dst *memline.Line) {
+	c.e.planes.DecodePlanesInto(planes, dst)
+	c.e.cipher.WhitenLine(dst, addr, ctr)
 }

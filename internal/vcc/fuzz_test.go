@@ -3,6 +3,7 @@ package vcc
 import (
 	"testing"
 
+	"wlcrc/internal/coset"
 	"wlcrc/internal/memline"
 	"wlcrc/internal/pcm"
 )
@@ -34,8 +35,10 @@ func fuzzOld(oldBits []byte, n int) []pcm.State {
 
 // FuzzVCCRoundTrip asserts, for arbitrary plaintext, old states, keys,
 // addresses and counters: the full-line encode decodes bit-exactly back
-// to the plaintext, and every word's SWAR candidate choice and output
-// states match the scalar CostTable reference.
+// to the plaintext, every word's SWAR candidate choice and output
+// states match the scalar CostTable reference, and the plane codec
+// encodes to exactly the packed cells and decodes back to the
+// plaintext.
 func FuzzVCCRoundTrip(f *testing.F) {
 	f.Add([]byte{}, uint64(0), uint64(0), uint64(0), byte(2))
 	f.Add([]byte{0xFF, 0x00, 0xAA}, uint64(1), uint64(1), uint64(7), byte(0))
@@ -76,6 +79,23 @@ func FuzzVCCRoundTrip(f *testing.F) {
 						dst[w*memline.WordCells+c], refOut[c])
 				}
 			}
+		}
+
+		// Plane leg: the same write on plane-resident lines.
+		oldP := make([]uint64, coset.PlaneWords(s.TotalCells()))
+		coset.PackLine(old, oldP)
+		wantP := make([]uint64, len(oldP))
+		coset.PackLine(dst, wantP)
+		gotP := make([]uint64, len(oldP))
+		s.EncodeCtrPlanesInto(gotP, oldP, addr, ctr, &data)
+		for i := range wantP {
+			if gotP[i] != wantP[i] {
+				t.Fatalf("VCC-%d: plane word %d = %#x, packed cells %#x", n, i, gotP[i], wantP[i])
+			}
+		}
+		s.DecodeCtrPlanesInto(gotP, addr, ctr, &got)
+		if !got.Equal(&data) {
+			t.Fatalf("VCC-%d: plane round trip failed (addr %#x ctr %d key %#x)", n, addr, ctr, key)
 		}
 	})
 }

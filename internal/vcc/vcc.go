@@ -123,29 +123,59 @@ func (s *Scheme) EncodeCtrInto(dst, old []pcm.State, addr, ctr uint64, data *mem
 	var idx [memline.LineWords]uint8
 	var p coset.WordPlanes
 	for w := 0; w < memline.LineWords; w++ {
-		cw := data.Word(w) ^ pad[w]
-		p.Init(cw, old[w*memline.WordCells:(w+1)*memline.WordCells])
-		clo, chi := p.Lo, p.Hi
-		// Candidate 0 is the zero vector: price the ciphertext directly.
-		best := 0
-		bestCost, _ := s.swar.CostCount(&p, coset.AllCells)
-		for c := 1; c < s.n; c++ {
-			vlo, vhi := memline.LoHiPlanes(vecs[c][w])
-			var cnt [4]int
-			// LoHiPlanes is linear over XOR, so the candidate's planes
-			// are two XORs — the word is never re-extracted.
-			s.swar.CountsPlanes(clo^vlo, chi^vhi, &p, coset.AllCells, &cnt)
-			cost, _ := s.swar.CostOf(&cnt)
-			if cost < bestCost {
-				best, bestCost = c, cost
-			}
-		}
-		idx[w] = uint8(best)
-		vlo, vhi := memline.LoHiPlanes(vecs[best][w])
-		nlo, nhi := s.swar.ApplyPlanes(clo^vlo, chi^vhi)
+		p.Init(data.Word(w)^pad[w], old[w*memline.WordCells:(w+1)*memline.WordCells])
+		nlo, nhi := s.selectWord(&p, &vecs, w, &idx[w])
 		coset.UnpackStates(nlo, nhi, dst[w*memline.WordCells:(w+1)*memline.WordCells])
 	}
 	s.packIndices(&idx, dst[memline.LineCells:s.TotalCells()])
+}
+
+// EncodeCtrPlanesInto is EncodeCtrInto on plane-resident lines
+// (core.CounterPlaneScheme): the old states enter the pricing straight
+// from old's plane words, the winners are stored as planes, and the
+// candidate indices fill the tail word pair under the AuxPack mapping.
+// dst equals coset.PackLine of EncodeCtrInto's cells bit for bit.
+func (s *Scheme) EncodeCtrPlanesInto(dst, old []uint64, addr, ctr uint64, data *memline.Line) {
+	var pad [memline.LineWords]uint64
+	var vecs [MaxCandidates][memline.LineWords]uint64
+	s.cipher.Candidates(addr, ctr, s.n, &pad, &vecs)
+
+	var idx [memline.LineWords]uint8
+	var p coset.WordPlanes
+	var bits uint64
+	for w := 0; w < memline.LineWords; w++ {
+		p.SetData(data.Word(w) ^ pad[w])
+		p.SetOldPlanes(old[2*w], old[2*w+1])
+		dst[2*w], dst[2*w+1] = s.selectWord(&p, &vecs, w, &idx[w])
+		bits |= uint64(idx[w]) << uint(w*s.idxBits)
+	}
+	// The index bit stream, two bits per aux cell with the AuxPack
+	// identity mapping, is exactly a data word's symbol planes.
+	dst[planeTail], dst[planeTail+1] = memline.LoHiPlanes(bits)
+}
+
+// selectWord prices the word's n candidates against its old states,
+// stores the winning index in idx, and returns the winner's C1-mapped
+// state planes. p carries the ciphertext word's data planes.
+func (s *Scheme) selectWord(p *coset.WordPlanes, vecs *[MaxCandidates][memline.LineWords]uint64, w int, idx *uint8) (lo, hi uint64) {
+	clo, chi := p.Lo, p.Hi
+	// Candidate 0 is the zero vector: price the ciphertext directly.
+	best := 0
+	bestCost, _ := s.swar.CostCount(p, coset.AllCells)
+	for c := 1; c < s.n; c++ {
+		vlo, vhi := memline.LoHiPlanes(vecs[c][w])
+		var cnt [4]int
+		// LoHiPlanes is linear over XOR, so the candidate's planes
+		// are two XORs — the word is never re-extracted.
+		s.swar.CountsPlanes(clo^vlo, chi^vhi, p, coset.AllCells, &cnt)
+		cost, _ := s.swar.CostOf(&cnt)
+		if cost < bestCost {
+			best, bestCost = c, cost
+		}
+	}
+	*idx = uint8(best)
+	vlo, vhi := memline.LoHiPlanes(vecs[best][w])
+	return s.swar.ApplyPlanes(clo^vlo, chi^vhi)
 }
 
 // DecodeCtrInto implements core.CounterScheme: read the indices,
@@ -165,6 +195,26 @@ func (s *Scheme) DecodeCtrInto(cells []pcm.State, addr, ctr uint64, dst *memline
 		dst.SetWord(w, cw^vecs[idx[w]][w]^pad[w])
 	}
 }
+
+// DecodeCtrPlanesInto is DecodeCtrInto on plane-resident lines
+// (core.CounterPlaneScheme). dst is fully overwritten.
+func (s *Scheme) DecodeCtrPlanesInto(planes []uint64, addr, ctr uint64, dst *memline.Line) {
+	var pad [memline.LineWords]uint64
+	var vecs [MaxCandidates][memline.LineWords]uint64
+	s.cipher.Candidates(addr, ctr, s.n, &pad, &vecs)
+
+	bits := memline.InterleavePlanes(planes[planeTail], planes[planeTail+1])
+	mask := uint64(s.n - 1)
+	for w := 0; w < memline.LineWords; w++ {
+		dlo, dhi := s.swar.ApplyInvPlanes(planes[2*w], planes[2*w+1])
+		i := bits >> uint(w*s.idxBits) & mask
+		dst.SetWord(w, memline.InterleavePlanes(dlo, dhi)^vecs[i][w]^pad[w])
+	}
+}
+
+// planeTail is the plane-pair index of the word holding cells 256+, the
+// candidate-index cells of a plane-resident line.
+const planeTail = 2 * memline.LineWords
 
 // packIndices stores the eight per-word candidate indices, idxBits bits
 // each LSB-first, into the auxiliary cells through the fixed AuxPack

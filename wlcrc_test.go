@@ -31,6 +31,77 @@ func TestMustSchemePanics(t *testing.T) {
 	wlcrc.MustScheme("bogus")
 }
 
+// scalarOnlyScheme exposes only the wlcrc.Scheme methods of the scheme
+// it wraps: a caller-defined scheme with no plane codec, no counter and
+// no compression gate, which Memory drives through its pack/unpack
+// adapter.
+type scalarOnlyScheme struct{ wlcrc.Scheme }
+
+// memoryRoundTrip writes a deterministic stream over a small footprint
+// into mem, checking that every address reads back its latest content
+// after each write, and returns the per-write infos.
+func memoryRoundTrip(t *testing.T, mem *wlcrc.Memory) []wlcrc.WriteInfo {
+	t.Helper()
+	last := map[uint64]wlcrc.Line{}
+	var infos []wlcrc.WriteInfo
+	x := uint64(0x9e3779b97f4a7c15)
+	for i := 0; i < 400; i++ {
+		var ws [8]uint64
+		for w := range ws {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			ws[w] = x
+			if i%2 == 0 {
+				ws[w] &= 0xff // small ints: the compressible half
+			}
+		}
+		addr := x % 16
+		data := wlcrc.LineFromWords(ws)
+		infos = append(infos, mem.Write(addr, data))
+		last[addr] = data
+		if got := mem.Read(addr); got != data {
+			t.Fatalf("%s: write %d: addr %d reads back wrong content", mem.Scheme().Name(), i, addr)
+		}
+	}
+	for addr, want := range last {
+		if got := mem.Read(addr); got != want {
+			t.Fatalf("%s: addr %d lost its content", mem.Scheme().Name(), addr)
+		}
+	}
+	if mem.Lines() != len(last) {
+		t.Errorf("%s: Lines = %d, want %d", mem.Scheme().Name(), mem.Lines(), len(last))
+	}
+	return infos
+}
+
+// TestMemoryCodecPathsRoundTrip drives Memory through its two
+// non-trivial codec paths: VCC-4's counter-keyed plane codec, and the
+// adapter serving a scalar-only caller scheme. The adapter must price
+// every write exactly like the wrapped scheme's native plane codec
+// (only the compression flag differs: a gateless scheme counts every
+// write as encoded).
+func TestMemoryCodecPathsRoundTrip(t *testing.T) {
+	vcc := memoryRoundTrip(t, wlcrc.NewMemory(wlcrc.MustScheme("VCC-4")))
+	for i, info := range vcc {
+		if info.EnergyPJ <= 0 || !info.Compressed {
+			t.Fatalf("VCC-4 write %d: info = %+v", i, info)
+		}
+	}
+	native := memoryRoundTrip(t, wlcrc.NewMemory(wlcrc.MustScheme("WLCRC-16")))
+	adapted := memoryRoundTrip(t, wlcrc.NewMemory(scalarOnlyScheme{wlcrc.MustScheme("WLCRC-16")}))
+	for i := range native {
+		n, a := native[i], adapted[i]
+		if !a.Compressed {
+			t.Fatalf("write %d: gateless scheme reported a raw write", i)
+		}
+		n.Compressed, a.Compressed = false, false
+		if n != a {
+			t.Fatalf("write %d: adapter priced %+v, native plane codec %+v", i, a, n)
+		}
+	}
+}
+
 func TestMemoryWriteReadRoundTrip(t *testing.T) {
 	mem := wlcrc.NewMemory(wlcrc.MustScheme("WLCRC-16"))
 	var ws [8]uint64
