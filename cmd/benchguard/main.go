@@ -45,7 +45,7 @@
 // claim: with faults disabled the replay engine must stay within the
 // committed fault_free_pr8 gate_ratio (5%) of the plain PR 7 engine on
 // the same fixture — BenchmarkEngineRunFaults/off over
-// BenchmarkEngineRun/workers=4/ingest=off, identical configurations
+// BenchmarkEngineRun/workers=4, identical configurations
 // except that the former is compiled through the fault-aware write
 // path. Same box, same process, so the ratio is machine-speed
 // independent; it moves only when fault-model bookkeeping leaks into
@@ -131,7 +131,7 @@ type ingestBaseline struct {
 }
 
 // faultFreeBaseline records the fault-model overhead series: "plain" is
-// BenchmarkEngineRun/workers=4/ingest=off (the PR 7 engine), "off" and
+// BenchmarkEngineRun/workers=4 (the PR 7 engine), "off" and
 // "on" are BenchmarkEngineRunFaults with the model disabled and
 // enabled on the identical fixture. The gate requires the measured
 // off/plain ratio to stay at or below GateRatio — a fault-disabled
@@ -401,7 +401,7 @@ func guardFaultFree(base baseline, m map[string]float64) {
 	}
 	plain, off := m["plain"], m["off"]
 	if plain == 0 || off == 0 {
-		log.Fatal("input is missing BenchmarkEngineRun/workers=4/ingest=off or BenchmarkEngineRunFaults/off results")
+		log.Fatal("input is missing BenchmarkEngineRun/workers=4 or BenchmarkEngineRunFaults/off results")
 	}
 	ratio := off / plain
 	fmt.Printf("faultfree: plain %.1fms, faults-off %.1fms, off/plain %.3f "+
@@ -422,7 +422,7 @@ func guardFaultFree(base baseline, m map[string]float64) {
 // benchmark's off/on modes.
 func parseFaultFreeBench(r io.Reader) (map[string]float64, error) {
 	return parseBenchLines(r, func(name string) (string, bool) {
-		if name == "BenchmarkEngineRun/workers=4/ingest=off" {
+		if name == "BenchmarkEngineRun/workers=4" {
 			return "plain", true
 		}
 		return strings.CutPrefix(name, "BenchmarkEngineRunFaults/")

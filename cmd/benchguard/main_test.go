@@ -68,6 +68,19 @@ func TestMeasuredParsesInput(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("parseIngestBench = %v, want %v", got, want)
 	}
+
+	in = strings.NewReader(strings.Join([]string{
+		"BenchmarkEngineRun/workers=1-2 10 9000000 ns/op",
+		"BenchmarkEngineRun/workers=4-2 10 6000000 ns/op",
+		"BenchmarkEngineRunFaults/off-2 10 6100000 ns/op",
+	}, "\n"))
+	got, err = parseFaultFreeBench(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got["plain"] != 6000000 || got["off"] != 6100000 {
+		t.Fatalf("parseFaultFreeBench = %v, want plain 6000000 (workers=4) and off 6100000", got)
+	}
 }
 
 // TestGuardSeriesDetectsRegression checks the geomean-normalized encode

@@ -46,6 +46,16 @@ import (
 	"wlcrc/internal/store"
 )
 
+// Connection timeouts. A client gets readHeaderTimeout to send its
+// request headers and an idle keep-alive connection is closed after
+// idleTimeout, so slow or abandoned connections cannot pin server
+// resources. There is deliberately no WriteTimeout: it would cut off
+// long-lived SSE event streams.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("pcmserver: ")
@@ -89,7 +99,11 @@ func main() {
 		}
 	}
 
-	srv := &http.Server{Handler: server.New(mgr, st, logger)}
+	srv := &http.Server{
+		Handler:           server.New(mgr, st, logger),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
 	logger.Info("listening", "addr", ln.Addr().String(), "pool", *pool, "queue", *queueCap)

@@ -243,8 +243,8 @@ func describe(path string) error {
 		fmt.Println("header count: unknown (streamed)")
 	}
 	// Timed pure-decode pass: batch-decode every record off the mapping
-	// with none of the analysis below, i.e. exactly what a replay's
-	// ingest pays per record.
+	// with none of the analysis below, i.e. the per-record cost of
+	// reading the trace alone.
 	var buf [512]trace.Request
 	start := time.Now()
 	for m.NextBatch(buf[:]) != 0 {

@@ -41,10 +41,6 @@ type Config struct {
 	// (0 = all CPUs, 1 = serial). Results are bit-identical for every
 	// value — see sim.Engine — so this is purely a speed knob.
 	Workers int
-	// IngestRouters controls the engine's parallel ingest front-end
-	// (0 = auto, negative = off, positive = that many routers). Purely a
-	// speed knob like Workers — see sim.Options.IngestRouters.
-	IngestRouters int
 	// Encrypted replays every workload in its counter-mode encrypted
 	// (whitened) form — the ciphertext an encrypted DIMM stores — using
 	// EncryptionKey (0 = the default key). Compression-gated schemes
@@ -185,7 +181,6 @@ func simOptions(cfg Config) sim.Options {
 	o.Energy = cfg.Energy
 	o.Seed = cfg.Seed
 	o.Workers = cfg.Workers
-	o.IngestRouters = cfg.IngestRouters
 	o.TrackWear = cfg.TrackWear
 	o.Progress = cfg.Progress
 	return o

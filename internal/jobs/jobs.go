@@ -86,10 +86,9 @@ type Spec struct {
 	// WLCRC-16).
 	Schemes []string `json:"schemes,omitempty"`
 
-	// Workers / IngestRouters are the engine speed knobs; results are
-	// bit-identical for every value (see sim.Options).
-	Workers       int `json:"workers,omitempty"`
-	IngestRouters int `json:"ingest_routers,omitempty"`
+	// Workers is the engine speed knob; results are bit-identical for
+	// every value (see sim.Options).
+	Workers int `json:"workers,omitempty"`
 
 	// SampleDisturb switches disturbance accounting to Monte-Carlo
 	// sampling with Seed; TrackWear enables the dense per-cell wear
@@ -221,7 +220,6 @@ func (s Spec) schemes() ([]core.Scheme, error) {
 func (s Spec) simOptions() sim.Options {
 	o := sim.DefaultOptions()
 	o.Workers = s.Workers
-	o.IngestRouters = s.IngestRouters
 	o.SampleDisturb = s.SampleDisturb
 	o.Seed = s.Seed
 	o.TrackWear = s.TrackWear

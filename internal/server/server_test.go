@@ -431,6 +431,8 @@ func TestAPIErrors(t *testing.T) {
 		{"POST", "/v1/jobs", `{"workload":"nope"}`, http.StatusBadRequest},
 		{"POST", "/v1/jobs", `{"schemes":["bogus"]}`, http.StatusBadRequest},
 		{"POST", "/v1/jobs", `{"unknown_field":1}`, http.StatusBadRequest},
+		// ingest_routers is not a spec field, so it is rejected as unknown.
+		{"POST", "/v1/jobs", `{"ingest_routers":2}`, http.StatusBadRequest},
 		{"POST", "/v1/jobs", `not json`, http.StatusBadRequest},
 		{"GET", "/v1/jobs/nope", "", http.StatusNotFound},
 		{"DELETE", "/v1/jobs/nope", "", http.StatusNotFound},

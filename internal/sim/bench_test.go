@@ -100,11 +100,7 @@ func BenchmarkShardApplyRun(b *testing.B) {
 
 // BenchmarkEngineRun measures the full engine layer at fixed small
 // worker counts on a single-scheme load, isolating dispatch overhead
-// from the root package's multi-scheme replay benchmarks. Each worker
-// count runs with the ingest front-end off (the classic serial
-// dispatcher) and with 2 router goroutines pre-routing the stream; the
-// delta is what the parallel front-end buys (or costs, on a single-CPU
-// box) at the engine layer.
+// from the root package's multi-scheme replay benchmarks.
 func BenchmarkEngineRun(b *testing.B) {
 	p, ok := workload.ProfileByName("gcc")
 	if !ok {
@@ -112,28 +108,21 @@ func BenchmarkEngineRun(b *testing.B) {
 	}
 	src := trace.Record(workload.NewGenerator(p, 1024, 17), 4000)
 	for _, workers := range []int{1, 4} {
-		for _, ingest := range []int{-1, 2} {
-			name := fmt.Sprintf("workers=%d/ingest=off", workers)
-			if ingest > 0 {
-				name = fmt.Sprintf("workers=%d/ingest=%d", workers, ingest)
-			}
-			b.Run(name, func(b *testing.B) {
-				opts := DefaultOptions()
-				opts.Verify = false
-				opts.Workers = workers
-				opts.IngestRouters = ingest
-				e := NewEngine(opts, schemesForBench(b, "WLCRC-16")...)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					src.Rewind()
-					if err := e.Run(src, 0); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			opts := DefaultOptions()
+			opts.Verify = false
+			opts.Workers = workers
+			e := NewEngine(opts, schemesForBench(b, "WLCRC-16")...)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				src.Rewind()
+				if err := e.Run(src, 0); err != nil {
+					b.Fatal(err)
 				}
-				writes := float64(len(src.Reqs) * b.N)
-				b.ReportMetric(writes/b.Elapsed().Seconds(), "writes/s")
-			})
-		}
+			}
+			writes := float64(len(src.Reqs) * b.N)
+			b.ReportMetric(writes/b.Elapsed().Seconds(), "writes/s")
+		})
 	}
 }
 
@@ -154,7 +143,6 @@ func BenchmarkEngineRunFaults(b *testing.B) {
 			opts := DefaultOptions()
 			opts.Verify = false
 			opts.Workers = 4
-			opts.IngestRouters = -1
 			if mode == "on" {
 				opts.Faults = fault.Config{
 					Enabled:         true,

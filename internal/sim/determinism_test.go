@@ -38,14 +38,6 @@ func determinismWorkerSet(banks int) []int {
 	return out
 }
 
-// TestEngineDeterminismMatrix is the layered determinism net: for
-// every accounting mode (deterministic, sampled disturbance, fault
-// injection + VnR, and counter-keyed encrypted replay), every worker
-// count in the matrix, and the ingest front-end both off and on, the
-// engine's Metrics, post-run Snapshot and wear summaries must be
-// bit-identical — reflect.DeepEqual, floats included — to the
-// Workers=1, ingest-off run of the same trace. The -race CI job runs
-// this matrix too, so the guarantee is checked under the race detector.
 // TestScalarStorageBitIdentical is the cross-storage leg of the net:
 // the same trace replayed by the plane-native engine and by the scalar
 // reference replayer (cell vectors in a map, scalar codecs and models)
@@ -132,6 +124,13 @@ func TestScalarStorageBitIdentical(t *testing.T) {
 	}
 }
 
+// TestEngineDeterminismMatrix is the layered determinism net: for
+// every accounting mode (deterministic, sampled disturbance, fault
+// injection + VnR, and counter-keyed encrypted replay) and every worker
+// count in the matrix, the engine's Metrics, post-run Snapshot and wear
+// summaries must be bit-identical — reflect.DeepEqual, floats included
+// — to the Workers=1 run of the same trace. The -race CI job runs
+// this matrix too, so the guarantee is checked under the race detector.
 func TestEngineDeterminismMatrix(t *testing.T) {
 	geo := determinismGeometry()
 	banks := geo.Banks()
@@ -193,12 +192,11 @@ func TestEngineDeterminismMatrix(t *testing.T) {
 	for _, mode := range modes {
 		t.Run(mode.name, func(t *testing.T) {
 			src := mode.src(t)
-			run := func(workers, ingest int) (metrics, snapshot []Metrics, retired [][]uint64, err error) {
+			run := func(workers int) (metrics, snapshot []Metrics, retired [][]uint64, err error) {
 				src.Rewind()
 				opts := DefaultOptions()
 				opts.Geometry = geo
 				opts.Workers = workers
-				opts.IngestRouters = ingest
 				opts.TrackWear = true
 				mode.tweak(&opts)
 				e := NewEngine(opts, schemesForTest(t, mode.schemes...)...)
@@ -208,7 +206,7 @@ func TestEngineDeterminismMatrix(t *testing.T) {
 				}
 				return e.Metrics(), e.Snapshot(), e.RetiredLines(), err
 			}
-			wantMetrics, wantSnap, wantRetired, wantErr := run(1, -1)
+			wantMetrics, wantSnap, wantRetired, wantErr := run(1)
 			if wantMetrics[0].Writes != 2500 {
 				t.Fatalf("serial run replayed %d writes, want 2500", wantMetrics[0].Writes)
 			}
@@ -219,30 +217,28 @@ func TestEngineDeterminismMatrix(t *testing.T) {
 				t.Fatal("serial Snapshot differs from Metrics after Run")
 			}
 			for _, workers := range determinismWorkerSet(banks) {
-				for _, ingest := range []int{-1, 2} {
-					if workers == 1 && ingest == -1 {
-						continue // the baseline itself
-					}
-					gotMetrics, gotSnap, gotRetired, gotErr := run(workers, ingest)
-					if !reflect.DeepEqual(wantMetrics, gotMetrics) {
-						t.Errorf("workers=%d ingest=%d: Metrics differ from serial run", workers, ingest)
-					}
-					if !reflect.DeepEqual(wantSnap, gotSnap) {
-						t.Errorf("workers=%d ingest=%d: Snapshot differs from serial run", workers, ingest)
-					}
-					if !reflect.DeepEqual(wantRetired, gotRetired) {
-						t.Errorf("workers=%d ingest=%d: retired-line sets differ from serial run:\nserial:   %v\nparallel: %v",
-							workers, ingest, wantRetired, gotRetired)
-					}
-					if !reflect.DeepEqual(wantErr, gotErr) {
-						t.Errorf("workers=%d ingest=%d: run error differs from serial run:\nserial:   %v\nparallel: %v",
-							workers, ingest, wantErr, gotErr)
-					}
-					for i := range wantMetrics {
-						if !reflect.DeepEqual(wantMetrics[i].Wear, gotMetrics[i].Wear) {
-							t.Errorf("workers=%d ingest=%d: %s wear summary differs from serial run",
-								workers, ingest, wantMetrics[i].Scheme)
-						}
+				if workers == 1 {
+					continue // the baseline itself
+				}
+				gotMetrics, gotSnap, gotRetired, gotErr := run(workers)
+				if !reflect.DeepEqual(wantMetrics, gotMetrics) {
+					t.Errorf("workers=%d: Metrics differ from serial run", workers)
+				}
+				if !reflect.DeepEqual(wantSnap, gotSnap) {
+					t.Errorf("workers=%d: Snapshot differs from serial run", workers)
+				}
+				if !reflect.DeepEqual(wantRetired, gotRetired) {
+					t.Errorf("workers=%d: retired-line sets differ from serial run:\nserial:   %v\nparallel: %v",
+						workers, wantRetired, gotRetired)
+				}
+				if !reflect.DeepEqual(wantErr, gotErr) {
+					t.Errorf("workers=%d: run error differs from serial run:\nserial:   %v\nparallel: %v",
+						workers, wantErr, gotErr)
+				}
+				for i := range wantMetrics {
+					if !reflect.DeepEqual(wantMetrics[i].Wear, gotMetrics[i].Wear) {
+						t.Errorf("workers=%d: %s wear summary differs from serial run",
+							workers, wantMetrics[i].Scheme)
 					}
 				}
 			}

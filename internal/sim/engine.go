@@ -58,14 +58,6 @@ const progressStride = 1024
 // arbitrarily long streamed trace runs with zero steady-state
 // dispatcher allocations.
 //
-// When Options.IngestRouters resolves above zero, reading and routing
-// move off the Run goroutine entirely: the ingest stage (ingest.go)
-// pulls sequence-stamped chunks from the source, pre-routes them into
-// per-unit sub-batches on K router goroutines, and Run reassembles the
-// chunks in order into the same pending/ready buffers — identical
-// hand-off order, so identical results, with the front-end off the
-// critical path.
-//
 // Workers drain their queue one unit-batch at a time and replay it
 // scheme-major through the shard batch-encode path (shard.applyRun):
 // all of one scheme's state — SWAR cost tables, coset selectors, the
@@ -113,14 +105,6 @@ type Engine struct {
 	// channel's capacity covers every buffer that can be in flight at
 	// once, so steady state is allocation-free unconditionally.
 	freeBufs chan *[]routedReq
-	// ingest is the resolved ingest-router count (0 = classic in-line
-	// dispatch). freeChunks recycles ingest chunks the way freeBufs
-	// recycles batch buffers, and doubles as the in-flight bound: a
-	// router blocks for a free chunk before reading, so at most
-	// cap(freeChunks) chunk sequences are ever outstanding — which is
-	// what lets the reassembly ring index by seq modulo that capacity.
-	ingest     int
-	freeChunks chan *ingestChunk
 }
 
 // NewEngine builds a sharded engine for the given schemes. Worker count
@@ -158,16 +142,6 @@ func NewEngine(opts Options, schemes ...core.Scheme) *Engine {
 	// Worst-case buffers in flight: one pending + one parked per unit,
 	// plus each worker's full queue and the batch it is draining.
 	e.freeBufs = make(chan *[]routedReq, 2*units+workers*(unitChanCap+1))
-	e.ingest = resolveIngestRouters(opts.IngestRouters, runtime.GOMAXPROCS(0))
-	if e.ingest > 0 {
-		// Enough chunks that every router holds one, the routed channel
-		// can buffer one per router, and the reassembly keeps a couple in
-		// hand — prefilled so steady state never allocates a chunk.
-		e.freeChunks = make(chan *ingestChunk, 2*e.ingest+2)
-		for i := 0; i < cap(e.freeChunks); i++ {
-			e.freeChunks <- newIngestChunk()
-		}
-	}
 	e.shards = make([]*shard, len(schemes)*units)
 	sampled := opts.SampleDisturb || opts.InjectFaults
 	var ecc *fault.ECC
@@ -230,13 +204,6 @@ func (e *Engine) SubShards() int { return e.subShards }
 // upper bound on useful worker counts.
 func (e *Engine) Units() int { return e.units }
 
-// IngestRouters returns the resolved ingest-router count: 0 means Run
-// reads and routes the source in-line on its own goroutine (the classic
-// dispatcher), N > 0 means N parallel pre-routing goroutines feed it
-// (Options.IngestRouters documents the resolution rule). Like Workers,
-// the value never affects results, only wall-clock time.
-func (e *Engine) IngestRouters() int { return e.ingest }
-
 // routeOf maps an address to its routing unit. It must agree with the
 // geometry's memsys.Config.RouteOf — the engine keeps the resolved
 // counts as plain ints so the dispatch loop's hottest instruction
@@ -264,13 +231,9 @@ type batch struct {
 }
 
 // Run drains a source through the engine, stopping after max requests
-// when max > 0. With ingest disabled the source is read sequentially on
-// the calling goroutine; with ingest routers the source is read in
-// chunks (batched through trace.Batched when it is not already a
-// trace.BatchSource), pre-routed in parallel, and reassembled in
-// sequence here — either way each request is routed to the single
-// worker owning its (bank, sub-shard) unit, travels in pooled batch
-// buffers, and the results are bit-identical.
+// when max > 0. The source is read sequentially on the calling
+// goroutine; each request is routed to the single worker owning its
+// (bank, sub-shard) unit and travels in pooled batch buffers.
 //
 // On a verification failure the engine stops reading the source,
 // flushes every pending batch (so all requests read before the stop are
@@ -289,10 +252,10 @@ func (e *Engine) Run(src trace.Source, max int) error {
 }
 
 // RunContext is Run with cooperative cancellation. The dispatch loop
-// (serial or ingest) checks ctx between requests: on cancellation it
-// stops reading the source, the already-dispatched batches drain
-// through the workers normally (the queues are bounded, so the drain is
-// prompt), and RunContext returns ctx.Err() — the merged metrics then
+// checks ctx between requests: on cancellation it stops reading the
+// source, the already-dispatched batches drain through the workers
+// normally (the queues are bounded, so the drain is prompt), and
+// RunContext returns ctx.Err() — the merged metrics then
 // cover exactly the requests read before the stop, applied to every
 // scheme alike. A background context costs one nil check per request.
 func (e *Engine) RunContext(ctx context.Context, src trace.Source, max int) error {
@@ -332,12 +295,7 @@ func (e *Engine) RunContext(ctx context.Context, src trace.Source, max int) erro
 	// what per-shard trace order rests on.
 	pending := make([]*[]routedReq, e.units)
 	ready := make([]*[]routedReq, e.units)
-	var seq uint64
-	if e.ingest > 0 {
-		seq = e.dispatchIngest(trace.Batched(src), max, chans, pending, ready, &failed, done, start)
-	} else {
-		seq = e.dispatchSerial(src, max, chans, pending, ready, &failed, done, start)
-	}
+	seq := e.dispatchSerial(src, max, chans, pending, ready, &failed, done, start)
 	// Flush every parked and pending batch — even when stopping on a
 	// failure. Determinism of the reported error depends on it: the
 	// earliest failing request overall was read before the (later)
@@ -397,12 +355,9 @@ func canceled(done <-chan struct{}) bool {
 	}
 }
 
-// dispatchSerial is the classic in-line dispatch loop: read one request
+// dispatchSerial is the engine's one dispatch loop: read one request
 // per Source.Next on this goroutine, route it, and hand off per-unit
 // batches as they fill. It returns the number of requests dispatched.
-// dispatchIngest (ingest.go) is the parallel front-end that replaces it
-// when ingest routers are configured; the two must fill the per-unit
-// pending buffers with identical content in identical order.
 func (e *Engine) dispatchSerial(src trace.Source, max int, chans []chan batch,
 	pending, ready []*[]routedReq, failed *atomic.Bool, done <-chan struct{}, start time.Time) uint64 {
 	var (

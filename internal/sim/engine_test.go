@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -65,6 +67,103 @@ func engineRun(t *testing.T, src *trace.SliceSource, workers int, tweak func(*Op
 	return e.Metrics()
 }
 
+// TestIngestSourceKindsBitIdentical is the acceptance matrix across
+// source types: the same trace replayed from an in-memory SliceSource,
+// a batch-decoding ReaderSource over the recorded file, and a
+// MappedSource over the same file must produce bit-identical Metrics
+// and Snapshot for every worker count — all equal to the serial
+// SliceSource run.
+func TestIngestSourceKindsBitIdentical(t *testing.T) {
+	const n = 3000
+	slice := fixedTrace(t, "gcc", 512, n, 17)
+	path := filepath.Join(t.TempDir(), "ingest.trace")
+	writeTraceFile(t, path, slice)
+	sources := map[string]func(t *testing.T) trace.Source{
+		"legacy-source": func(t *testing.T) trace.Source {
+			slice.Rewind()
+			return slice
+		},
+		"batch-source": func(t *testing.T) trace.Source {
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { f.Close() })
+			r, err := trace.NewReader(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return &trace.ReaderSource{R: r}
+		},
+		"mapped-source": func(t *testing.T) trace.Source {
+			m, err := trace.OpenMapped(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { m.Close() })
+			return m
+		},
+	}
+	run := func(t *testing.T, src trace.Source, workers int) ([]Metrics, []Metrics) {
+		opts := DefaultOptions()
+		opts.Workers = workers
+		opts.TrackWear = true
+		e := NewEngine(opts, schemesForTest(t, engineSchemeNames...)...)
+		if err := e.Run(src, 0); err != nil {
+			t.Fatal(err)
+		}
+		return e.Metrics(), e.Snapshot()
+	}
+	slice.Rewind()
+	wantMetrics, wantSnap := run(t, slice, 1)
+	if wantMetrics[0].Writes != n {
+		t.Fatalf("reference run replayed %d writes, want %d", wantMetrics[0].Writes, n)
+	}
+	for name, open := range sources {
+		t.Run(name, func(t *testing.T) {
+			for _, workers := range []int{1, 4} {
+				gotMetrics, gotSnap := run(t, open(t), workers)
+				if !reflect.DeepEqual(wantMetrics, gotMetrics) {
+					t.Errorf("workers=%d: Metrics differ from serial reference", workers)
+				}
+				if !reflect.DeepEqual(wantSnap, gotSnap) {
+					t.Errorf("workers=%d: Snapshot differs from serial reference", workers)
+				}
+			}
+		})
+	}
+}
+
+// writeTraceFile records src to a real on-disk trace file (so the
+// header count is back-patched) and rewinds src.
+func writeTraceFile(t *testing.T, path string, src *trace.SliceSource) {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := trace.NewWriter(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		req, ok := src.Next()
+		if !ok {
+			break
+		}
+		if err := w.Write(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	src.Rewind()
+}
+
 // TestEngineMatchesSimulator checks the engine against the scalar
 // reference replayer in deterministic mode: the reference lays shards
 // out like the engine and merges them in the same order, so every
@@ -118,10 +217,10 @@ func TestEngineWarmupResetMetrics(t *testing.T) {
 }
 
 // TestEngineVerifyErrorDeterministic checks that a decode failure is
-// reported identically for every worker count: the engine must surface
-// the globally-first failing request no matter which worker detects it.
-// (Metrics after an error cover an unspecified prefix — see Run — so
-// only the error is compared.)
+// reported identically for every worker count, run after run: the
+// engine must surface the globally-first failing request no matter
+// which worker detects it. (Metrics after an error cover an unspecified
+// prefix — see Run — so only the error is compared.)
 func TestEngineVerifyErrorDeterministic(t *testing.T) {
 	run := func(workers int) string {
 		src := fixedTrace(t, "gcc", 128, 500, 3)
@@ -138,10 +237,43 @@ func TestEngineVerifyErrorDeterministic(t *testing.T) {
 		return err.Error()
 	}
 	serialErr := run(1)
-	for _, workers := range []int{2, 8} {
+	for _, workers := range []int{1, 2, 8} {
 		for round := 0; round < 3; round++ {
 			if gotErr := run(workers); gotErr != serialErr {
 				t.Errorf("workers=%d reported %q, serial reported %q", workers, gotErr, serialErr)
+			}
+		}
+	}
+}
+
+// TestIngestVerifyErrorDeterministic checks that the deprecated
+// IngestRouters knob leaves error reporting untouched: for every worker
+// count and router setting, run after run, the engine reports the same
+// globally-first decode failure as the serial run.
+func TestIngestVerifyErrorDeterministic(t *testing.T) {
+	run := func(workers, ingest int) string {
+		src := fixedTrace(t, "gcc", 128, 500, 3)
+		opts := DefaultOptions()
+		opts.Workers = workers
+		opts.IngestRouters = ingest
+		e := NewEngine(opts, brokenScheme{})
+		err := e.Run(src, 0)
+		if err == nil {
+			t.Fatal("broken scheme did not surface a decode error")
+		}
+		if !strings.Contains(err.Error(), "decode mismatch") {
+			t.Fatalf("err = %v, want decode mismatch", err)
+		}
+		return err.Error()
+	}
+	serialErr := run(1, -1)
+	for _, workers := range []int{1, 2, 8} {
+		for _, ingest := range []int{1, 3} {
+			for round := 0; round < 3; round++ {
+				if gotErr := run(workers, ingest); gotErr != serialErr {
+					t.Errorf("workers=%d ingest=%d reported %q, serial reported %q",
+						workers, ingest, gotErr, serialErr)
+				}
 			}
 		}
 	}
@@ -202,14 +334,37 @@ func TestEngineMetricsForAndReset(t *testing.T) {
 	}
 }
 
-// TestEngineRunMaxLimit pins the max-request contract of Run.
+// TestEngineRunMaxLimit pins the max-request contract of Run: the
+// budget is exact, including a limit below one unit batch and one that
+// is not a multiple of it.
 func TestEngineRunMaxLimit(t *testing.T) {
 	p, _ := workload.ProfileByName("mcf")
-	e := NewEngine(DefaultOptions(), schemesForTest(t, "Baseline")...)
-	if err := e.Run(workload.NewGenerator(p, 128, 2), 100); err != nil {
-		t.Fatal(err)
+	for _, limit := range []int{100, 3*unitBatch + 37} {
+		e := NewEngine(DefaultOptions(), schemesForTest(t, "Baseline")...)
+		if err := e.Run(workload.NewGenerator(p, 128, 2), limit); err != nil {
+			t.Fatal(err)
+		}
+		if m := e.Metrics()[0]; m.Writes != limit {
+			t.Errorf("max=%d: writes = %d", limit, m.Writes)
+		}
 	}
-	if m := e.Metrics()[0]; m.Writes != 100 {
-		t.Errorf("writes = %d, want 100", m.Writes)
+}
+
+// TestIngestRunMaxLimit pins the max-request budget over a batch-decoding
+// source that spans several unit batches, with the deprecated
+// IngestRouters knob set: the budget stays exact below one batch and at
+// a limit that is not a multiple of it.
+func TestIngestRunMaxLimit(t *testing.T) {
+	for _, limit := range []int{100, unitBatch + 37} {
+		src := fixedTrace(t, "mcf", 256, 2*unitBatch, 2)
+		opts := DefaultOptions()
+		opts.IngestRouters = 2
+		e := NewEngine(opts, schemesForTest(t, "Baseline")...)
+		if err := e.Run(src, limit); err != nil {
+			t.Fatal(err)
+		}
+		if m := e.Metrics()[0]; m.Writes != limit {
+			t.Errorf("max=%d: writes = %d", limit, m.Writes)
+		}
 	}
 }

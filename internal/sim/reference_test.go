@@ -154,12 +154,10 @@ func serialGeometry() memsys.Config {
 		WriteQueueCap: 8, DrainThreshold: 0.8}
 }
 
-// newSerialEngine builds a one-worker Engine over serialGeometry with
-// in-line dispatch: a plain sequential replay where shards[i] is scheme
-// i's whole view.
+// newSerialEngine builds a one-worker Engine over serialGeometry: a
+// plain sequential replay where shards[i] is scheme i's whole view.
 func newSerialEngine(opts Options, schemes ...core.Scheme) *Engine {
 	opts.Workers = 1
-	opts.IngestRouters = -1
 	opts.Geometry = serialGeometry()
 	return NewEngine(opts, schemes...)
 }

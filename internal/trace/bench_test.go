@@ -15,10 +15,10 @@ import (
 const benchRecords = 4096
 
 // BenchmarkIngest measures pure trace-decode throughput through the
-// three ingest paths a replay can take:
+// three trace-read paths:
 //
 //	reader  per-record Reader.Read — the pre-PR7 hot loop
-//	batch   Reader.ReadBatch in ingest-chunk-sized slices
+//	batch   Reader.ReadBatch in 512-record slices
 //	mapped  MappedSource.NextBatch decoding zero-copy off the mapping
 //
 // reader and batch run over the same in-memory image (so the bufio

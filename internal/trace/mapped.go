@@ -24,8 +24,7 @@ import (
 //
 // A MappedSource is not safe for concurrent use; each goroutine of a
 // parallel consumer must pull from it under the consumer's own
-// serialization (the sim engine's ingest stage reads chunks under a
-// mutex and fans only the decode out).
+// serialization.
 type MappedSource struct {
 	data  []byte // whole file, header included
 	recs  []byte // record region: data[HeaderSize:], truncation trimmed

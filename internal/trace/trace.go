@@ -253,10 +253,10 @@ type Source interface {
 // interface — everything that consumes a stream keeps accepting it, and
 // Batched upgrades any legacy Source for free. New sources should
 // implement both (NextBatch as the native loop, Next as the one-element
-// special case): batch consumers like the sim engine's parallel ingest
-// stage detect BatchSource dynamically and fall back to the adapter,
+// special case): batch consumers like Record detect BatchSource
+// dynamically, and wlcrc.Workload.NextBatch goes through the adapter,
 // which preserves results exactly but keeps the per-request interface
-// call on the hot path.
+// call on the hot path for legacy sources.
 type BatchSource interface {
 	Source
 	NextBatch(dst []Request) int

@@ -78,7 +78,7 @@ func (g *Generator) Next() (trace.Request, bool) {
 
 // NextBatch implements trace.BatchSource: the stream never ends, so dst
 // is always filled completely. Each request is generated directly into
-// its slot, so bulk consumers (trace.Record, the engine's ingest stage)
+// its slot, so bulk consumers (trace.Record, Workload.NextBatch)
 // skip the per-request interface call and 136-byte struct copy of Next.
 // The draw sequence is identical to len(dst) Next calls.
 func (g *Generator) NextBatch(dst []trace.Request) int {

@@ -53,12 +53,6 @@ type ReplayOptions struct {
 	// space by (bank, sub-shard) unit and merges deterministically — so
 	// this is purely a speed knob.
 	Workers int
-	// IngestRouters controls the parallel ingest front-end that reads
-	// and pre-routes the stream in chunks ahead of the dispatcher:
-	// 0 auto-sizes (off on a single-CPU machine), negative disables,
-	// positive requests that many router goroutines. Like Workers it is
-	// purely a speed knob — results are bit-identical either way.
-	IngestRouters int
 	// SampleDisturb switches disturbance accounting from expected values
 	// to Monte-Carlo sampling seeded with Seed.
 	SampleDisturb bool
@@ -94,7 +88,6 @@ func Replay(w *Workload, n int, opts ReplayOptions, schemes ...Scheme) ([]Metric
 	}
 	o := sim.DefaultOptions()
 	o.Workers = opts.Workers
-	o.IngestRouters = opts.IngestRouters
 	o.SampleDisturb = opts.SampleDisturb
 	o.Seed = opts.Seed
 	o.TrackWear = opts.TrackWear

@@ -191,32 +191,6 @@ func TestWorkloadNextBatchMatchesNext(t *testing.T) {
 	}
 }
 
-// TestReplayIngestMatchesSerial extends the public-API determinism
-// guarantee to the ingest front-end: Replay with ingest routers must be
-// bit-identical to the serial, ingest-off replay.
-func TestReplayIngestMatchesSerial(t *testing.T) {
-	run := func(workers, ingest int) []wlcrc.Metrics {
-		w, err := wlcrc.NewWorkload("gcc", 512, 23)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ms, err := wlcrc.Replay(w, 2000, wlcrc.ReplayOptions{Workers: workers, IngestRouters: ingest},
-			wlcrc.MustScheme("Baseline"), wlcrc.MustScheme("WLCRC-16"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ms
-	}
-	want := run(1, -1)
-	for _, ingest := range []int{1, 3} {
-		for _, workers := range []int{1, 4} {
-			if got := run(workers, ingest); !reflect.DeepEqual(want, got) {
-				t.Errorf("workers=%d ingest=%d: metrics differ from serial replay", workers, ingest)
-			}
-		}
-	}
-}
-
 // TestReplayFaultModel drives the stuck-at fault model through the
 // public API: an accelerated-endurance replay accumulates fault stats
 // in Metrics.Faults, stays worker-count deterministic, and a run that
