@@ -43,15 +43,17 @@
 //
 // With -faultfree it guards the PR 8 stuck-at fault model's zero-cost
 // claim: with faults disabled the replay engine must stay within the
-// committed fault_free_pr8 gate_ratio (5%) of the plain PR 7 engine on
-// the same fixture — BenchmarkEngineRunFaults/off over
-// BenchmarkEngineRun/workers=4, identical configurations
-// except that the former is compiled through the fault-aware write
-// path. Same box, same process, so the ratio is machine-speed
-// independent; it moves only when fault-model bookkeeping leaks into
-// the fault-disabled hot path.
+// committed fault_free_pr8 gate_ratio (5%) of the engine with no fault
+// configuration at all. BenchmarkEngineRunFaults/gate times the two
+// ("plain" and "off") alternately within each iteration and reports
+// both; every -count repetition is one off/plain sample. The gate takes
+// the median over at least min_count samples and, so that a noisy run
+// cannot pass or fail by chance, requires their interquartile range
+// relative to the median to stay within max_spread. Same box, same
+// process, so the ratio is machine-speed independent; it moves only
+// when fault-model bookkeeping leaks into the fault-disabled hot path.
 //
-//	go test -run xxx -bench 'BenchmarkEngineRun' -benchtime 2x -count 3 ./internal/sim/ | benchguard -faultfree
+//	go test -run xxx -bench 'BenchmarkEngineRunFaults' -benchtime 4x -count 10 ./internal/sim/ | benchguard -faultfree
 //
 // With -from-store <dir> the measured numbers come from a pcmserver
 // result store instead of bench output: the latest point of the named
@@ -130,17 +132,21 @@ type ingestBaseline struct {
 	GateRatio float64            `json:"gate_ratio"`
 }
 
-// faultFreeBaseline records the fault-model overhead series: "plain" is
-// BenchmarkEngineRun/workers=4 (the PR 7 engine), "off" and
-// "on" are BenchmarkEngineRunFaults with the model disabled and
-// enabled on the identical fixture. The gate requires the measured
-// off/plain ratio to stay at or below GateRatio — a fault-disabled
-// replay must not pay for the fault machinery; "on" is recorded but not
-// gated (its cost is the model's job, not a regression).
+// faultFreeBaseline records the fault-model overhead series: "plain"
+// is the engine with no fault configuration, "off" the same engine
+// configured like "on" but with the model disabled, "on" the model
+// enabled, all on the identical fixture. The gate requires the median
+// off/plain ratio over at least MinCount samples to stay at or below
+// GateRatio, with the samples' interquartile range over the median at
+// or below MaxSpread — a fault-disabled replay must not pay for the
+// fault machinery; "on" is recorded but not gated (its cost is the
+// model's job, not a regression).
 type faultFreeBaseline struct {
 	NSPerRun  map[string]float64 `json:"ns_per_run_by_mode"`
 	Ratio     float64            `json:"off_over_plain"`
 	GateRatio float64            `json:"gate_ratio"`
+	MinCount  int                `json:"min_count"`
+	MaxSpread float64            `json:"max_spread"`
 }
 
 func main() {
@@ -153,7 +159,7 @@ func main() {
 		replay    = flag.Bool("replay", false, "guard the parallel replay dispatcher (parallel/serial wall-clock ratio) instead of the encode series")
 		replayTol = flag.Float64("replay-tolerance", 0.30, "allowed relative ratio regression in -replay mode (generous: wall-clock ratios are noisy)")
 		ingest    = flag.Bool("ingest", false, "guard the trace-decode front-end (mapped/reader decode-cost ratio from BenchmarkIngest) instead of the encode series")
-		faultFree = flag.Bool("faultfree", false, "guard the fault model's zero-cost-when-disabled claim (BenchmarkEngineRunFaults/off over BenchmarkEngineRun) instead of the encode series")
+		faultFree = flag.Bool("faultfree", false, "guard the fault model's zero-cost-when-disabled claim (median off/plain over the BenchmarkEngineRunFaults/gate samples) instead of the encode series")
 		fromStore = flag.String("from-store", "", "pcmserver result-store directory: gate the latest point of a recorded series instead of parsing bench output")
 		series    = flag.String("series", "", "series name to read with -from-store (default: the guard mode's name — encode, replay, ingest or faultfree)")
 	)
@@ -387,46 +393,167 @@ func guardIngest(base baseline, m map[string]float64) {
 	fmt.Println("benchguard: trace-decode front-end within baseline")
 }
 
-// guardFaultFree enforces the fault-model overhead baseline: the
-// fault-disabled engine run must stay within the committed gate_ratio
-// of the plain engine on the identical fixture. Both benchmarks run on
-// the same box in the same process, so the gated ratio is machine-speed
-// independent; it moves only when fault bookkeeping leaks into the
-// fault-disabled write path (a map lookup that stopped compiling down
-// to a nil check, wear tracking created unconditionally, and so on).
-// The fault-enabled time is reported for context but never gated.
+// guardFaultFree enforces the fault-model overhead baseline; see
+// checkFaultFree.
 func guardFaultFree(base baseline, m map[string]float64) {
 	if base.FaultFree == nil || base.FaultFree.GateRatio == 0 {
 		log.Fatal("baseline has no fault_free_pr8 series")
 	}
-	plain, off := m["plain"], m["off"]
-	if plain == 0 || off == 0 {
-		log.Fatal("input is missing BenchmarkEngineRun/workers=4 or BenchmarkEngineRunFaults/off results")
-	}
-	ratio := off / plain
-	fmt.Printf("faultfree: plain %.1fms, faults-off %.1fms, off/plain %.3f "+
-		"(fault_free_pr8 baseline %.3f, gate %.3f)\n",
-		plain/1e6, off/1e6, ratio, base.FaultFree.Ratio, base.FaultFree.GateRatio)
-	if on := m["on"]; on != 0 {
-		fmt.Printf("faultfree: faults-on %.1fms, on/plain %.3f (not gated)\n", on/1e6, on/plain)
-	}
-	if ratio > base.FaultFree.GateRatio {
-		log.Fatalf("fault-disabled replay regressed: off/plain %.3f exceeds gate %.3f "+
-			"(the fault model must cost nothing when disabled)", ratio, base.FaultFree.GateRatio)
+	report, err := checkFaultFree(base.FaultFree, m)
+	fmt.Print(report)
+	if err != nil {
+		log.Fatal(err)
 	}
 	fmt.Println("benchguard: fault-disabled replay within baseline")
 }
 
-// parseFaultFreeBench extracts the mean ns/op of the fault-overhead
-// trio in one pass: the plain PR 7 engine fixture plus the faults
-// benchmark's off/on modes.
-func parseFaultFreeBench(r io.Reader) (map[string]float64, error) {
-	return parseBenchLines(r, func(name string) (string, bool) {
-		if name == "BenchmarkEngineRun/workers=4" {
-			return "plain", true
+// checkFaultFree gates the paired samples of m ("plain/i", "off/i" for
+// i = 0, 1, ...): the fault-disabled engine must stay within GateRatio
+// of the plain engine on the identical fixture, judged by the median
+// off/plain ratio. Both sides of each sample ran alternately in the
+// same process on the same box, so the ratio is machine-speed
+// independent; it moves only when fault bookkeeping leaks into the
+// fault-disabled write path (a map lookup that stopped compiling down
+// to a nil check, wear tracking created unconditionally, and so on).
+// Too few samples, or an interquartile range wider than MaxSpread of
+// the median, is an error rather than a verdict: such a run cannot tell
+// a 5% leak from noise. The fault-enabled time is reported for context
+// but never gated.
+func checkFaultFree(b *faultFreeBaseline, m map[string]float64) (string, error) {
+	var ratios, plains, offs []float64
+	for i := 0; ; i++ {
+		plain, okP := m[fmt.Sprintf("plain/%d", i)]
+		off, okO := m[fmt.Sprintf("off/%d", i)]
+		if !okP || !okO || plain <= 0 {
+			break
 		}
-		return strings.CutPrefix(name, "BenchmarkEngineRunFaults/")
+		ratios = append(ratios, off/plain)
+		plains = append(plains, plain)
+		offs = append(offs, off)
+	}
+	if len(ratios) < b.MinCount {
+		return "", fmt.Errorf("need at least %d BenchmarkEngineRunFaults/gate samples (run with -count %d), have %d",
+			b.MinCount, b.MinCount, len(ratios))
+	}
+	q1, med, q3 := quartiles(ratios)
+	spread := (q3 - q1) / med
+	_, plainMed, _ := quartiles(plains)
+	_, offMed, _ := quartiles(offs)
+	report := fmt.Sprintf("faultfree: %d samples, median plain %.1fms, faults-off %.1fms; "+
+		"off/plain median %.3f, quartiles %.3f..%.3f, spread %.3f "+
+		"(fault_free_pr8 baseline %.3f, gate %.3f, max spread %.3f)\n",
+		len(ratios), plainMed/1e6, offMed/1e6, med, q1, q3, spread,
+		b.Ratio, b.GateRatio, b.MaxSpread)
+	if on := m["on"]; on != 0 {
+		report += fmt.Sprintf("faultfree: faults-on %.1fms, on/plain %.3f (not gated)\n", on/1e6, on/plainMed)
+	}
+	if med > b.GateRatio {
+		return report, fmt.Errorf("fault-disabled replay regressed: median off/plain %.3f exceeds gate %.3f "+
+			"(the fault model must cost nothing when disabled)", med, b.GateRatio)
+	}
+	if spread > b.MaxSpread {
+		return report, fmt.Errorf("fault-free gate unresolved: off/plain spread %.3f exceeds %.3f, "+
+			"too noisy to tell a %.0f%% leak from noise; rerun", spread, b.MaxSpread, 100*(b.GateRatio-1))
+	}
+	return report, nil
+}
+
+// quartiles returns the 25th, 50th and 75th percentiles of xs,
+// interpolating linearly between order statistics.
+func quartiles(xs []float64) (q1, med, q3 float64) {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	at := func(p float64) float64 {
+		pos := p * float64(len(s)-1)
+		i := int(pos)
+		if i+1 >= len(s) {
+			return s[len(s)-1]
+		}
+		return s[i] + (pos-float64(i))*(s[i+1]-s[i])
+	}
+	return at(0.25), at(0.5), at(0.75)
+}
+
+// parseFaultFreeBench extracts every -count sample of the fault-overhead
+// gate pair — the plain-ns/run and off-ns/run metrics of
+// BenchmarkEngineRunFaults/gate, keyed "plain/i" and "off/i" in input
+// order — plus the mean ns/op of BenchmarkEngineRunFaults/on under
+// "on". The flat map is the shape a store series carries.
+func parseFaultFreeBench(r io.Reader) (map[string]float64, error) {
+	out := map[string]float64{}
+	n := 0
+	var onSum float64
+	var onN int
+	err := scanBench(r, func(fields []string) error {
+		// These names cannot end in "-N" themselves, so a trailing
+		// "-N" is the GOMAXPROCS decoration.
+		name := fields[0]
+		if i := strings.LastIndex(name, "-"); i > 0 {
+			if _, err := strconv.Atoi(name[i+1:]); err == nil {
+				name = name[:i]
+			}
+		}
+		switch name {
+		case "BenchmarkEngineRunFaults/gate":
+			plain, err := benchValue(fields, "plain-ns/run")
+			if err != nil {
+				return err
+			}
+			off, err := benchValue(fields, "off-ns/run")
+			if err != nil {
+				return err
+			}
+			if plain == 0 || off == 0 {
+				return fmt.Errorf("gate line without plain-ns/run and off-ns/run: %q", strings.Join(fields, " "))
+			}
+			out[fmt.Sprintf("plain/%d", n)] = plain
+			out[fmt.Sprintf("off/%d", n)] = off
+			n++
+		case "BenchmarkEngineRunFaults/on":
+			ns, err := benchValue(fields, "ns/op")
+			if err != nil {
+				return err
+			}
+			onSum += ns
+			onN++
+		}
+		return nil
 	})
+	if onN > 0 {
+		out["on"] = onSum / float64(onN)
+	}
+	return out, err
+}
+
+// scanBench calls f with the fields of each benchmark result line of
+// `go test -bench` output.
+func scanBench(r io.Reader, f func(fields []string) error) error {
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		fields := strings.Fields(sc.Text())
+		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
+			continue
+		}
+		if err := f(fields); err != nil {
+			return err
+		}
+	}
+	return sc.Err()
+}
+
+// benchValue returns the value printed before unit on a benchmark
+// result line, or 0 if the line has no such metric.
+func benchValue(fields []string, unit string) (float64, error) {
+	for i := 2; i+1 < len(fields); i++ {
+		if fields[i+1] == unit {
+			v, err := strconv.ParseFloat(fields[i], 64)
+			if err != nil {
+				return 0, fmt.Errorf("bad %s in %q: %v", unit, strings.Join(fields, " "), err)
+			}
+			return v, nil
+		}
+	}
+	return 0, nil
 }
 
 // parseIngestBench extracts the mean ns/op of the BenchmarkIngest
@@ -483,13 +610,7 @@ func parseBench(r io.Reader) (map[string]float64, error) {
 func parseBenchLines(r io.Reader, match func(name string) (key string, ok bool)) (map[string]float64, error) {
 	sum := map[string]float64{}
 	cnt := map[string]int{}
-	sc := bufio.NewScanner(r)
-	for sc.Scan() {
-		line := sc.Text()
-		fields := strings.Fields(line)
-		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
-			continue
-		}
+	err := scanBench(r, func(fields []string) error {
 		raw := fields[0]
 		names := []string{raw}
 		if i := strings.LastIndex(raw, "-"); i > 0 {
@@ -505,28 +626,19 @@ func parseBenchLines(r io.Reader, match func(name string) (key string, ok bool))
 			keys = keys[:1]
 		}
 		if len(keys) == 0 {
-			continue
+			return nil
 		}
-		var ns float64
-		for i := 2; i+1 < len(fields); i++ {
-			if fields[i+1] == "ns/op" {
-				v, err := strconv.ParseFloat(fields[i], 64)
-				if err != nil {
-					return nil, fmt.Errorf("bad ns/op in %q: %v", line, err)
-				}
-				ns = v
-				break
-			}
-		}
-		if ns == 0 {
-			continue
+		ns, err := benchValue(fields, "ns/op")
+		if err != nil || ns == 0 {
+			return err
 		}
 		for _, key := range keys {
 			sum[key] += ns
 			cnt[key]++
 		}
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	out := make(map[string]float64, len(sum))

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -70,16 +71,53 @@ func TestMeasuredParsesInput(t *testing.T) {
 	}
 
 	in = strings.NewReader(strings.Join([]string{
-		"BenchmarkEngineRun/workers=1-2 10 9000000 ns/op",
 		"BenchmarkEngineRun/workers=4-2 10 6000000 ns/op",
-		"BenchmarkEngineRunFaults/off-2 10 6100000 ns/op",
+		"BenchmarkEngineRunFaults/gate-2 4 240000000 ns/op 121000000 off-ns/run 119000000 plain-ns/run",
+		"BenchmarkEngineRunFaults/gate-2 4 250000000 ns/op 124000000 off-ns/run 126000000 plain-ns/run",
+		"BenchmarkEngineRunFaults/on-2 4 180000000 ns/op 333000 writes/s",
+		"BenchmarkEngineRunFaults/on-2 4 200000000 ns/op 300000 writes/s",
 	}, "\n"))
 	got, err = parseFaultFreeBench(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got["plain"] != 6000000 || got["off"] != 6100000 {
-		t.Fatalf("parseFaultFreeBench = %v, want plain 6000000 (workers=4) and off 6100000", got)
+	want = map[string]float64{
+		"plain/0": 119000000, "off/0": 121000000,
+		"plain/1": 126000000, "off/1": 124000000,
+		"on": 190000000,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("parseFaultFreeBench = %v, want %v", got, want)
+	}
+}
+
+// TestCheckFaultFree covers the fault-free gate's three outcomes on
+// paired samples: within the gate, a median regression, and a spread
+// too wide to judge — plus too few samples.
+func TestCheckFaultFree(t *testing.T) {
+	b := &faultFreeBaseline{GateRatio: 1.05, MinCount: 10, MaxSpread: 0.10}
+	samples := func(ratios ...float64) map[string]float64 {
+		m := map[string]float64{}
+		for i, r := range ratios {
+			m[fmt.Sprintf("plain/%d", i)] = 100e6
+			m[fmt.Sprintf("off/%d", i)] = r * 100e6
+		}
+		return m
+	}
+	// One outlier sample cannot fail a healthy median.
+	if _, err := checkFaultFree(b, samples(0.97, 1.01, 0.99, 1.02, 1.00, 0.98, 1.03, 1.00, 0.99, 1.30)); err != nil {
+		t.Fatalf("healthy run failed: %v", err)
+	}
+	if _, err := checkFaultFree(b, samples(1.07, 1.08, 1.06, 1.09, 1.07, 1.08, 1.06, 1.07, 1.10, 1.08)); err == nil ||
+		!strings.Contains(err.Error(), "regressed") {
+		t.Fatalf("8%% leak: err = %v, want a regression", err)
+	}
+	if _, err := checkFaultFree(b, samples(0.80, 1.20, 0.85, 1.15, 0.90, 1.10, 0.82, 1.18, 0.95, 1.02)); err == nil ||
+		!strings.Contains(err.Error(), "unresolved") {
+		t.Fatalf("noisy run: err = %v, want unresolved", err)
+	}
+	if _, err := checkFaultFree(b, samples(1, 1, 1)); err == nil || !strings.Contains(err.Error(), "at least 10") {
+		t.Fatalf("3 samples: err = %v, want too few", err)
 	}
 }
 

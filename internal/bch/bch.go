@@ -8,9 +8,29 @@
 // caller uses (DIN messages are at most 492 bits). The generator
 // polynomial is g(x) = m1(x) * m3(x), the product of the minimal
 // polynomials of alpha and alpha^3, of degree 20.
+//
+// Parity is computed word-parallel, the way a CRC is: the remainder of
+// msg(x)*x^20 modulo g(x) lives in the low 20 bits of a uint32 and
+// absorbs eight message bits per step through a 256-entry byte table,
+// built once per process. Parity takes the message packed LSB-first
+// into bytes; the bit-per-byte Encode/EncodeTo forms pack and call it.
+//
+// Syndromes use the same kernel. A received word c(x) reduces modulo
+// g(x) to e(x) = stored parity XOR the parity recomputed from the
+// received message bits, and because g(alpha) = g(alpha^3) = 0 the
+// syndromes c(alpha), c(alpha^3) equal e(alpha), e(alpha^3): a 20-term
+// evaluation instead of one per codeword bit. e = 0 means both
+// syndromes vanish, which is how a caller holding packed bits checks a
+// stored word with one Parity call and skips Decode when it is clean.
+// Decode keeps the classic path for words that are not: the single-
+// error test and, for two errors, the error-locator polynomial and its
+// Chien search.
 package bch
 
 import (
+	"encoding/binary"
+	"math/bits"
+
 	"wlcrc/internal/gf2"
 )
 
@@ -20,15 +40,32 @@ const ParityBits = 20
 // MaxMessageBits is the maximum message length of the shortened code.
 const MaxMessageBits = 1023 - ParityBits
 
+// maxMessageBytes is MaxMessageBits packed eight to a byte.
+const maxMessageBytes = (MaxMessageBits + 7) / 8
+
+const parityMask = 1<<ParityBits - 1
+
 // Code is a double-error-correcting BCH codec. It is safe for concurrent
 // use after construction.
 type Code struct {
 	field *gf2.Field
 	gen   []uint8 // generator polynomial coefficients, ascending, degree 20
+	// table[v] is the remainder of v(x)*x^20 mod g(x) for the byte v
+	// read MSB (highest degree) first.
+	table [256]uint32
+	// pow1[j], pow3[j] are alpha^j and alpha^(3j): the syndrome
+	// contribution of remainder bit j.
+	pow1, pow3 [ParityBits]uint16
 }
 
-// New constructs the t=2 BCH code over GF(2^10).
-func New() *Code {
+// std is the process-wide code: the code has no parameters, so every
+// New shares its tables.
+var std = newCode()
+
+// New returns the t=2 BCH code over GF(2^10).
+func New() *Code { return std }
+
+func newCode() *Code {
 	f := gf2.NewField(10, 0)
 	m1 := f.MinimalPoly(1)
 	m3 := f.MinimalPoly(3)
@@ -36,7 +73,27 @@ func New() *Code {
 	if len(gen)-1 != ParityBits {
 		panic("bch: generator polynomial degree != 20")
 	}
-	return &Code{field: f, gen: gen}
+	c := &Code{field: f, gen: gen}
+	var low uint32 // g(x) without its x^20 term
+	for j := 0; j < ParityBits; j++ {
+		low |= uint32(gen[j]) << uint(j)
+	}
+	for v := range c.table {
+		r := uint32(v) << (ParityBits - 8)
+		for k := 0; k < 8; k++ {
+			top := r >> (ParityBits - 1)
+			r = r << 1 & parityMask
+			if top == 1 {
+				r ^= low
+			}
+		}
+		c.table[v] = r
+	}
+	for j := 0; j < ParityBits; j++ {
+		c.pow1[j] = f.Exp(j)
+		c.pow3[j] = f.Exp(3 * j)
+	}
+	return c
 }
 
 func polyMulGF2(a, b []uint8) []uint8 {
@@ -60,6 +117,29 @@ func (c *Code) Generator() []uint8 {
 	return out
 }
 
+// Parity returns the ParityBits parity bits of the nbits-bit message
+// packed LSB-first in msg (message bit i is msg[i/8]>>(i%8)&1), parity
+// bit j in bit j of the result. Bits of msg beyond nbits are ignored.
+// It is the word-parallel kernel behind Encode, EncodeTo and Syndromes.
+func (c *Code) Parity(msg []byte, nbits int) uint32 {
+	if nbits > MaxMessageBits {
+		panic("bch: message too long for shortened code")
+	}
+	// The highest-degree coefficients enter first. Zero coefficients
+	// above the message do not change a remainder that starts at zero,
+	// so the partial top byte is its masked value fed in whole.
+	i := (nbits+7)/8 - 1
+	var r uint32
+	if tail := uint(nbits) & 7; tail != 0 {
+		r = c.table[msg[i]&(1<<tail-1)]
+		i--
+	}
+	for ; i >= 0; i-- {
+		r = r<<8&parityMask ^ c.table[byte(r>>(ParityBits-8))^msg[i]]
+	}
+	return r
+}
+
 // Encode computes the ParityBits parity bits for the message bits msg
 // (each element 0 or 1, msg[0] is the lowest-degree coefficient). The
 // systematic codeword is conceptually msg(x)*x^20 + parity(x): parity
@@ -79,33 +159,58 @@ func (c *Code) EncodeTo(msg, parity []uint8) {
 	if len(parity) != ParityBits {
 		panic("bch: EncodeTo parity length != ParityBits")
 	}
-	// Polynomial division of msg(x)*x^20 by g(x) over GF(2), LFSR style.
-	rem := parity
-	for i := range rem {
-		rem[i] = 0
+	var packed [maxMessageBytes]byte
+	packBits(msg, packed[:])
+	p := c.Parity(packed[:], len(msg))
+	for j := range parity {
+		parity[j] = uint8(p >> uint(j) & 1)
 	}
-	for i := len(msg) - 1; i >= 0; i-- {
-		feedback := msg[i] ^ rem[ParityBits-1]
-		copy(rem[1:], rem[:ParityBits-1])
-		rem[0] = 0
-		if feedback == 1 {
-			for j := 0; j < ParityBits; j++ {
-				rem[j] ^= c.gen[j]
-			}
-		}
+}
+
+// packBits packs 0/1 bytes LSB-first into dst, which must start zeroed.
+// Eight bits at a time, a multiply gathers byte k's low bit into bit
+// 56+k: the partial products of distinct bytes land on distinct bit
+// positions, so no carry disturbs the top byte.
+func packBits(src []uint8, dst []byte) {
+	k := 0
+	for ; k+8 <= len(src); k += 8 {
+		x := binary.LittleEndian.Uint64(src[k:]) & 0x0101010101010101
+		dst[k>>3] = byte(x * 0x0102040810204080 >> 56)
+	}
+	for ; k < len(src); k++ {
+		dst[k>>3] |= (src[k] & 1) << uint(k&7)
 	}
 }
 
 // Syndromes evaluates the received codeword at alpha and alpha^3.
 // codeword[i] is the coefficient of x^i (parity first, then message).
 func (c *Code) Syndromes(codeword []uint8) (s1, s3 uint16) {
-	f := c.field
-	for i, bit := range codeword {
-		if bit == 0 {
-			continue
-		}
-		s1 ^= f.Exp(i)
-		s3 ^= f.Exp(3 * i)
+	np := len(codeword)
+	if np > ParityBits {
+		np = ParityBits
+	}
+	var stored uint32
+	for j, b := range codeword[:np] {
+		stored |= uint32(b&1) << uint(j)
+	}
+	var packed [maxMessageBytes]byte
+	msg := codeword[np:]
+	if len(msg) > MaxMessageBits {
+		panic("bch: codeword too long for shortened code")
+	}
+	packBits(msg, packed[:])
+	return c.remainderSyndromes(stored ^ c.Parity(packed[:], len(msg)))
+}
+
+// remainderSyndromes returns the syndromes of a received word whose
+// remainder modulo g(x) is e: its stored parity XOR the parity
+// recomputed from its message bits. e = 0 gives (0, 0).
+func (c *Code) remainderSyndromes(e uint32) (s1, s3 uint16) {
+	for e != 0 {
+		j := bits.TrailingZeros32(e)
+		s1 ^= c.pow1[j]
+		s3 ^= c.pow3[j]
+		e &= e - 1
 	}
 	return s1, s3
 }
@@ -143,18 +248,16 @@ func (c *Code) Decode(codeword []uint8) (corrected int, ok bool) {
 	// locators X1 = alpha^p1, X2 = alpha^p2, the roots are X1 and X2
 	// themselves here because sigma was built from elementary symmetric
 	// functions of the locators.
-	var positions []int
-	for i := 0; i < len(codeword); i++ {
+	var positions [2]int
+	found := 0
+	for i := 0; i < len(codeword) && found < 2; i++ {
 		x := f.Exp(i)
-		v := f.Add(f.Add(f.Mul(x, x), f.Mul(s1, x)), sigma2)
-		if v == 0 {
-			positions = append(positions, i)
-			if len(positions) == 2 {
-				break
-			}
+		if f.Add(f.Add(f.Mul(x, x), f.Mul(s1, x)), sigma2) == 0 {
+			positions[found] = i
+			found++
 		}
 	}
-	if len(positions) != 2 {
+	if found != 2 {
 		return 0, false
 	}
 	for _, p := range positions {

@@ -52,16 +52,20 @@ var bdiConfigs = []bdiConfig{
 // arrays the allocation-free compressor works in.
 const bdiMaxSegs = memline.LineBytes / 2
 
-// bdiSegments fills segs with the line's segments and returns the
-// count.
+// bdiSegments fills segs with the line's little-endian segments and
+// returns the count, cutting each 64-bit word into 8/segBytes fields.
 func bdiSegments(l *memline.Line, segBytes int, segs *[bdiMaxSegs]uint64) int {
-	n := memline.LineBytes / segBytes
-	for i := 0; i < n; i++ {
-		var v uint64
-		for b := segBytes - 1; b >= 0; b-- {
-			v = v<<8 | uint64(l[i*segBytes+b])
+	per := 8 / segBytes
+	bits := uint(segBytes * 8)
+	mask := ^uint64(0) >> (64 - bits)
+	n := 0
+	for w := 0; w < memline.LineWords; w++ {
+		v := l.Word(w)
+		for j := 0; j < per; j++ {
+			segs[n] = v & mask
+			v >>= bits
+			n++
 		}
-		segs[i] = v
 	}
 	return n
 }
@@ -113,11 +117,25 @@ func BDICompress(l *memline.Line) ([]byte, int) {
 }
 
 // BDICompressTo encodes the line into w (back it with at least
-// BDIMaxBits of storage) and returns the stream length in bits. All
-// working state lives in fixed-size scratch, so the call itself never
-// allocates.
+// BDIMaxBits of storage) and returns w.Len(). All working state lives
+// in fixed-size scratch, so the call itself never allocates.
 func BDICompressTo(l *memline.Line, w *BitWriter) int {
-	// Zeros?
+	tag, ci, _ := bdiChoose(l)
+	bdiWrite(l, w, tag, ci)
+	return w.Len()
+}
+
+// BDISize returns only the compressed size in bits; it chooses the
+// encoding without packing the stream.
+func BDISize(l *memline.Line) int {
+	_, _, size := bdiChoose(l)
+	return size
+}
+
+// bdiChoose picks the cheapest applicable encoding: its tag, the index
+// of its base+delta configuration (-1 for zeros, rep8 and raw) and its
+// size in bits.
+func bdiChoose(l *memline.Line) (tag, ci, size int) {
 	zero := true
 	for _, b := range l {
 		if b != 0 {
@@ -126,10 +144,8 @@ func BDICompressTo(l *memline.Line, w *BitWriter) int {
 		}
 	}
 	if zero {
-		w.WriteBits(bdiZeros, 4)
-		return w.Len()
+		return bdiZeros, -1, 4
 	}
-	// Repeated 64-bit value?
 	rep := true
 	w0 := l.Word(0)
 	for i := 1; i < memline.LineWords; i++ {
@@ -139,59 +155,54 @@ func BDICompressTo(l *memline.Line, w *BitWriter) int {
 		}
 	}
 	if rep {
-		w.WriteBits(bdiRep8, 4)
-		w.WriteBits(w0, 64)
-		return w.Len()
+		return bdiRep8, -1, 4 + 64
 	}
-	// Base+delta configs in order of compressed size. The try scratch is
-	// promoted to best on improvement, so two fixed sets suffice.
-	best := -1
-	bestSize := 4 + memline.LineBits // raw
-	var bestBase uint64
-	var bestN int
-	var segs, deltas, bestDeltas [bdiMaxSegs]uint64
-	var mask, bestMask [bdiMaxSegs]bool
-	for ci, cfg := range bdiConfigs {
-		size := bdiConfigSize(cfg.segBytes, cfg.dltBytes)
-		if size >= bestSize {
+	// Base+delta configs, cheapest feasible wins; ties keep the earlier.
+	tag, ci, size = bdiRaw, -1, BDIMaxBits
+	var segs, deltas [bdiMaxSegs]uint64
+	var mask [bdiMaxSegs]bool
+	for i, cfg := range bdiConfigs {
+		cs := bdiConfigSize(cfg.segBytes, cfg.dltBytes)
+		if cs >= size {
 			continue
 		}
 		n := bdiSegments(l, cfg.segBytes, &segs)
-		base, ok := bdiTry(segs[:n], cfg.segBytes, cfg.dltBytes, &mask, &deltas)
-		if !ok {
-			continue
+		if _, ok := bdiTry(segs[:n], cfg.segBytes, cfg.dltBytes, &mask, &deltas); ok {
+			tag, ci, size = cfg.tag, i, cs
 		}
-		best, bestSize = ci, size
-		bestBase, bestN = base, n
-		bestMask, bestDeltas = mask, deltas
 	}
-	if best < 0 {
-		w.WriteBits(bdiRaw, 4)
+	return tag, ci, size
+}
+
+// bdiWrite packs the encoding bdiChoose picked.
+func bdiWrite(l *memline.Line, w *BitWriter, tag, ci int) {
+	w.WriteBits(uint64(tag), 4)
+	switch {
+	case tag == bdiZeros:
+	case tag == bdiRep8:
+		w.WriteBits(l.Word(0), 64)
+	case ci < 0: // raw
 		for i := 0; i < memline.LineWords; i++ {
 			w.WriteBits(l.Word(i), 64)
 		}
-		return w.Len()
-	}
-	cfg := bdiConfigs[best]
-	w.WriteBits(uint64(cfg.tag), 4)
-	w.WriteBits(bestBase, cfg.segBytes*8)
-	for _, m := range bestMask[:bestN] {
-		if m {
-			w.WriteBits(1, 1)
-		} else {
-			w.WriteBits(0, 1)
+	default:
+		cfg := bdiConfigs[ci]
+		var segs, deltas [bdiMaxSegs]uint64
+		var mask [bdiMaxSegs]bool
+		n := bdiSegments(l, cfg.segBytes, &segs)
+		base, _ := bdiTry(segs[:n], cfg.segBytes, cfg.dltBytes, &mask, &deltas)
+		w.WriteBits(base, cfg.segBytes*8)
+		var mbits uint64 // one bit per segment, at most 32
+		for i, m := range mask[:n] {
+			if m {
+				mbits |= 1 << uint(i)
+			}
+		}
+		w.WriteBits(mbits, n)
+		for _, d := range deltas[:n] {
+			w.WriteBits(d, cfg.dltBytes*8)
 		}
 	}
-	for _, d := range bestDeltas[:bestN] {
-		w.WriteBits(d, cfg.dltBytes*8)
-	}
-	return w.Len()
-}
-
-// BDISize returns only the compressed size in bits.
-func BDISize(l *memline.Line) int {
-	_, n := BDICompress(l)
-	return n
 }
 
 // BDIDecompress reconstructs a line from a BDI stream.
@@ -258,18 +269,9 @@ const FPCBDIMaxBits = 1 + FPCMaxBits
 
 // FPCBDISize returns the size in bits of the better of FPC and BDI for
 // the line, plus one selector bit, which is how DIN [16] and Figure 4
-// account for the combined FPC+BDI scheme.
+// account for the combined FPC+BDI scheme. Neither stream is packed.
 func FPCBDISize(l *memline.Line) int {
-	var fBack [(FPCMaxBits + 7) / 8]byte
-	var bBack [(BDIMaxBits + 7) / 8]byte
-	fw := WrapBitWriter(fBack[:])
-	bw := WrapBitWriter(bBack[:])
-	f := FPCCompressTo(l, &fw)
-	b := BDICompressTo(l, &bw)
-	if b < f {
-		return b + 1
-	}
-	return f + 1
+	return min(FPCSize(l), BDISize(l)) + 1
 }
 
 // FPCBDICompress encodes with the better of FPC and BDI behind a one-bit
@@ -281,21 +283,17 @@ func FPCBDICompress(l *memline.Line) ([]byte, int) {
 }
 
 // FPCBDICompressTo encodes into w (back it with at least FPCBDIMaxBits
-// of storage) and returns the stream length in bits. The two candidate
-// substreams live in fixed stack scratch, so the call never allocates.
+// of storage) and returns w.Len(). Both sizes are computed first and only
+// the winner is packed, BDI on a strict win, so the call never
+// allocates.
 func FPCBDICompressTo(l *memline.Line, w *BitWriter) int {
-	var fBack [(FPCMaxBits + 7) / 8]byte
-	var bBack [(BDIMaxBits + 7) / 8]byte
-	fw := WrapBitWriter(fBack[:])
-	bw := WrapBitWriter(bBack[:])
-	fBits := FPCCompressTo(l, &fw)
-	bBits := BDICompressTo(l, &bw)
-	if bBits < fBits {
+	tag, ci, bBits := bdiChoose(l)
+	if bBits < FPCSize(l) {
 		w.WriteBits(1, 1)
-		copyStream(w, bw.Bytes(), bBits)
+		bdiWrite(l, w, tag, ci)
 	} else {
 		w.WriteBits(0, 1)
-		copyStream(w, fw.Bytes(), fBits)
+		FPCCompressTo(l, w)
 	}
 	return w.Len()
 }
@@ -311,18 +309,6 @@ func FPCBDIDecompress(buf []byte) memline.Line {
 		return BDIDecompress(w.Bytes())
 	}
 	return FPCDecompress(w.Bytes())
-}
-
-func copyStream(w *BitWriter, buf []byte, bits int) {
-	r := WrapBitReader(buf)
-	for bits > 0 {
-		n := bits
-		if n > 64 {
-			n = 64
-		}
-		w.WriteBits(r.ReadBits(n), n)
-		bits -= n
-	}
 }
 
 // extractStream re-packs maxBits bits from r into w, realigning a

@@ -113,10 +113,18 @@ func COCCompressTo(l *memline.Line, w *BitWriter) int {
 	return w.Len()
 }
 
-// COCSize returns only the compressed size in bits.
+// COCSize returns only the compressed size in bits, without packing the
+// stream.
 func COCSize(l *memline.Line) int {
-	_, n := COCCompress(l)
-	return n
+	size := 0
+	var prev uint64
+	for i := 0; i < memline.LineWords; i++ {
+		v := l.Word(i)
+		_, _, bits := cocBest(v, prev, i > 0)
+		size += cocTagBits + bits
+		prev = v
+	}
+	return size
 }
 
 // COCDecompress reconstructs a line from a COC stream.

@@ -75,6 +75,157 @@ func TestQuickBitIO(t *testing.T) {
 	}
 }
 
+// refStream is the bit-at-a-time reference packer the word writer must
+// match byte for byte: LSB first, final byte zero-padded.
+type refStream struct {
+	buf  []byte
+	bits int
+}
+
+func (s *refStream) write(v uint64, n int) {
+	for i := 0; i < n; i++ {
+		if s.bits%8 == 0 {
+			s.buf = append(s.buf, 0)
+		}
+		s.buf[s.bits/8] |= byte(v>>uint(i)&1) << uint(s.bits%8)
+		s.bits++
+	}
+}
+
+// TestBitWriterMatchesReference writes random field widths 0..64 at
+// every alignment, checking Bytes and Len against the reference after
+// each write (so Bytes mid-stream must not disturb later writes), for a
+// heap writer and a stack-wrapped one, and reads every field back.
+func TestBitWriterMatchesReference(t *testing.T) {
+	r := prng.New(77)
+	for trial := 0; trial < 300; trial++ {
+		var ref refStream
+		var back [160]byte
+		for i := range back {
+			back[i] = 0xa5 // Wrap callers hand in uninitialized storage
+		}
+		ws := WrapBitWriter(back[:])
+		wh := NewBitWriter(8) // too small: exercises grow
+		var vals []uint64
+		var widths []int
+		for ref.bits < 1200 {
+			v := r.Uint64()
+			n := r.Intn(65)
+			ref.write(v, n)
+			ws.WriteBits(v, n)
+			wh.WriteBits(v, n)
+			vals, widths = append(vals, v), append(widths, n)
+			for _, w := range []*BitWriter{&ws, wh} {
+				if w.Len() != ref.bits || string(w.Bytes()) != string(ref.buf) {
+					t.Fatalf("trial %d after %d writes: Len %d Bytes %x, want %d %x",
+						trial, len(vals), w.Len(), w.Bytes(), ref.bits, ref.buf)
+				}
+			}
+		}
+		rd := WrapBitReader(ws.Bytes())
+		for i, v := range vals {
+			want := v
+			if widths[i] < 64 {
+				want &= 1<<uint(widths[i]) - 1
+			}
+			if got := rd.ReadBits(widths[i]); got != want {
+				t.Fatalf("trial %d field %d (%d bits): read %#x, want %#x", trial, i, widths[i], got, want)
+			}
+		}
+	}
+}
+
+// TestWrapBitWriterAllocFree pins the stack-backed contract: a
+// right-sized wrapped writer never allocates.
+func TestWrapBitWriterAllocFree(t *testing.T) {
+	l := randomLine(prng.New(78))
+	allocs := testing.AllocsPerRun(100, func() {
+		var back [(COCMaxBits + 7) / 8]byte
+		w := WrapBitWriter(back[:])
+		COCCompressTo(&l, &w)
+		var fb [(FPCBDIMaxBits + 7) / 8]byte
+		fw := WrapBitWriter(fb[:])
+		FPCBDICompressTo(&l, &fw)
+		r := WrapBitReader(w.Bytes())
+		r.ReadBits(64)
+	})
+	if allocs != 0 {
+		t.Fatalf("stack-backed compress allocates %.1f times", allocs)
+	}
+}
+
+// TestSizesMatchPackedStreams checks the size-only passes against the
+// packed streams, and FPCBDICompressTo against the selector bit
+// followed by the winning substream, on lines from every BDI and FPC
+// pattern class.
+func TestSizesMatchPackedStreams(t *testing.T) {
+	r := prng.New(79)
+	for trial := 0; trial < 3000; trial++ {
+		var l memline.Line
+		switch trial % 6 {
+		case 0:
+			l = randomLine(r)
+		case 1: // small values: FPC sign-extended words
+			for i := 0; i < memline.LineWords; i++ {
+				l.SetWord(i, r.Uint64()>>uint(40+r.Intn(24)))
+			}
+		case 2: // base + small deltas, some zero-base segments
+			base := r.Uint64()
+			for i := 0; i < memline.LineWords; i++ {
+				if r.Intn(3) == 0 {
+					l.SetWord(i, uint64(r.Intn(100)))
+				} else {
+					l.SetWord(i, base+uint64(r.Intn(1<<uint(1+r.Intn(30)))))
+				}
+			}
+		case 3: // 4- and 2-byte segment structure
+			base := uint32(r.Uint64())
+			for i := 0; i < memline.LineBytes/4; i++ {
+				v := base + uint32(r.Intn(1<<uint(1+r.Intn(15))))
+				l[4*i], l[4*i+1], l[4*i+2], l[4*i+3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
+			}
+		case 4: // sparse: zero runs and repeated words
+			v := r.Uint64()
+			for i := 0; i < memline.LineWords; i++ {
+				if r.Intn(2) == 0 {
+					l.SetWord(i, v)
+				}
+			}
+		case 5: // zeros or one repeated word
+			if r.Intn(2) == 0 {
+				v := r.Uint64()
+				for i := 0; i < memline.LineWords; i++ {
+					l.SetWord(i, v)
+				}
+			}
+		}
+		fb, fBits := FPCCompress(&l)
+		bb, bBits := BDICompress(&l)
+		_, cBits := COCCompress(&l)
+		if FPCSize(&l) != fBits || BDISize(&l) != bBits || COCSize(&l) != cBits {
+			t.Fatalf("trial %d: sizes FPC %d/%d BDI %d/%d COC %d/%d (size-only/packed)",
+				trial, FPCSize(&l), fBits, BDISize(&l), bBits, COCSize(&l), cBits)
+		}
+		var want refStream
+		if bBits < fBits {
+			want.write(1, 1)
+			for i := 0; i < bBits; i++ {
+				want.write(uint64(bb[i/8]>>uint(i%8)), 1)
+			}
+		} else {
+			want.write(0, 1)
+			for i := 0; i < fBits; i++ {
+				want.write(uint64(fb[i/8]>>uint(i%8)), 1)
+			}
+		}
+		got, gotBits := FPCBDICompress(&l)
+		if gotBits != want.bits || string(got) != string(want.buf) || FPCBDISize(&l) != gotBits {
+			t.Fatalf("trial %d: FPC+BDI stream %d bits %x (size %d), want %d bits %x",
+				trial, gotBits, got, FPCBDISize(&l), want.bits, want.buf)
+		}
+	}
+}
+
 // --- WLC ---
 
 func TestWLCWordCompressible(t *testing.T) {

@@ -72,32 +72,49 @@ func FPCCompress(l *memline.Line) ([]byte, int) {
 }
 
 // FPCCompressTo encodes the line into w (back it with at least
-// FPCMaxBits of storage) and returns the stream length in bits.
+// FPCMaxBits of storage) and returns w.Len().
 func FPCCompressTo(l *memline.Line, w *BitWriter) int {
 	words := fpc32Words(l)
 	for i := 0; i < fpcWords; {
 		if words[i] == 0 {
-			run := 1
-			for i+run < fpcWords && words[i+run] == 0 && run < 8 {
-				run++
-			}
-			w.WriteBits(fpcZeroRun, 3)
-			w.WriteBits(uint64(run-1), 3)
+			run := zeroRunLen(&words, i)
+			w.WriteBits(fpcZeroRun|uint64(run-1)<<3, 6)
 			i += run
 			continue
 		}
 		prefix, payload, bits := fpcClassify(words[i])
-		w.WriteBits(uint64(prefix), 3)
-		w.WriteBits(payload, bits)
+		w.WriteBits(uint64(prefix)|payload<<3, 3+bits)
 		i++
 	}
 	return w.Len()
 }
 
-// FPCSize returns only the compressed size in bits.
+// FPCSize returns only the compressed size in bits, without packing the
+// stream.
 func FPCSize(l *memline.Line) int {
-	_, n := FPCCompress(l)
-	return n
+	words := fpc32Words(l)
+	size := 0
+	for i := 0; i < fpcWords; {
+		if words[i] == 0 {
+			i += zeroRunLen(&words, i)
+			size += 6
+			continue
+		}
+		_, _, bits := fpcClassify(words[i])
+		size += 3 + bits
+		i++
+	}
+	return size
+}
+
+// zeroRunLen returns the length of the zero-word run starting at word i,
+// at most 8 (one 3-bit run code).
+func zeroRunLen(words *[fpcWords]uint32, i int) int {
+	run := 1
+	for i+run < fpcWords && words[i+run] == 0 && run < 8 {
+		run++
+	}
+	return run
 }
 
 // FPCDecompress reconstructs a line from an FPC stream.
